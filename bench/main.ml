@@ -5,8 +5,8 @@
    host instructions/sec of the fast-path engine against the reference
    engine on the NPB set and writes BENCH_3.json; with `--domains[=1,2,4]`
    it instead sweeps the host-scaling curve (D replica machines on D
-   domains, trace cache on/off) and writes BENCH_6.json. `--serve` runs
-   the open-loop serving latency sweep and writes BENCH_7.json. *)
+   domains) and writes BENCH_6.json. `--serve` runs the open-loop serving
+   latency sweep and writes BENCH_7.json. *)
 
 module H = Stramash_harness
 
@@ -239,12 +239,9 @@ let bench3_fast_ips =
    replica's count. Every replica must simulate the identical run — the
    determinism half of the scaling claim — so divergence is fatal, not a
    warning. *)
-let time_domains ~domains ~trace_cache spec =
+let time_domains ~domains spec =
   let replica () =
-    let machine =
-      Machine.create
-        { Machine.default_config with cache_mode = Cache_sim.Fast; trace_cache }
-    in
+    let machine = Machine.create { Machine.default_config with cache_mode = Cache_sim.Fast } in
     let proc, thread = Machine.load machine spec in
     let r = Runner.run machine proc thread spec in
     (r.Runner.wall_cycles, r.Runner.instructions)
@@ -271,27 +268,27 @@ let time_domains ~domains ~trace_cache spec =
 let run_perf6 domains_list =
   Format.printf
     "@.=== Host scaling: aggregate simulated instructions per host wall second ===@.";
-  Format.printf "  (D replica machines via Domain_pool; host has %d cores)@."
-    (Domain.recommended_domain_count ());
-  Format.printf "  %-6s %4s %12s %14s %14s %8s %12s@." "bench" "D" "instructions" "tc-on ips"
-    "tc-off ips" "tc gain" "vs BENCH_3";
+  let host_cores = Domain.recommended_domain_count () in
+  Format.printf
+    "  (D replica machines via Domain_pool; host has %d cores; rows with D > cores measure \
+     oversubscription, not scaling)@."
+    host_cores;
+  Format.printf "  %-6s %4s %12s %14s %12s %6s@." "bench" "D" "instructions" "ips" "vs BENCH_3"
+    "valid";
   let rows =
     List.map
       (fun (name, spec) ->
         let cells =
           List.map
             (fun domains ->
-              let instr, t_on = time_domains ~domains ~trace_cache:true spec in
-              let _, t_off = time_domains ~domains ~trace_cache:false spec in
-              let agg t = float_of_int (domains * instr) /. t in
+              let instr, t = time_domains ~domains spec in
+              let ips = float_of_int (domains * instr) /. t in
               let vs_b3 =
-                match List.assoc_opt name bench3_fast_ips with
-                | Some b -> agg t_on /. b
-                | None -> nan
+                match List.assoc_opt name bench3_fast_ips with Some b -> ips /. b | None -> nan
               in
-              Format.printf "  %-6s %4d %12d %14.0f %14.0f %7.2fx %11.2fx@." name domains instr
-                (agg t_on) (agg t_off) (t_off /. t_on) vs_b3;
-              (domains, instr, t_on, t_off, vs_b3))
+              Format.printf "  %-6s %4d %12d %14.0f %11.2fx %6b@." name domains instr ips vs_b3
+                (domains <= host_cores);
+              (domains, instr, t, ips, vs_b3))
             domains_list
         in
         (name, cells))
@@ -299,8 +296,8 @@ let run_perf6 domains_list =
   in
   let max_d = List.fold_left max 1 domains_list in
   (* The headline number (and CI's regression signal): geomean over the
-     suite of tc-on aggregate ips at the widest D, against the committed
-     BENCH_3 fast_ips. *)
+     suite of aggregate ips at the widest D, against the committed BENCH_3
+     fast_ips. *)
   let geomean =
     let logs =
       List.filter_map
@@ -312,8 +309,7 @@ let run_perf6 domains_list =
     in
     exp (List.fold_left ( +. ) 0.0 logs /. float_of_int (List.length logs))
   in
-  Format.printf "  geomean vs committed BENCH_3 fast_ips at %d domains, trace cache on: %.2fx@."
-    max_d geomean;
+  Format.printf "  geomean vs committed BENCH_3 fast_ips at %d domains: %.2fx@." max_d geomean;
   let json =
     Json.Obj
       [
@@ -323,7 +319,7 @@ let run_perf6 domains_list =
             "aggregate simulated instructions per host wall second across D replica machines" );
         ( "baseline",
           Json.String "committed BENCH_3.json fast_ips (fixed copy; see bench3_fast_ips)" );
-        ("host_cores", Json.Int (Domain.recommended_domain_count ()));
+        ("host_cores", Json.Int host_cores);
         ("domains", Json.List (List.map (fun d -> Json.Int d) domains_list));
         ( "benchmarks",
           Json.List
@@ -339,17 +335,14 @@ let run_perf6 domains_list =
                      ( "curve",
                        Json.List
                          (List.map
-                            (fun (domains, instr, t_on, t_off, vs) ->
-                              let agg t = float_of_int (domains * instr) /. t in
+                            (fun (domains, instr, t, ips, vs) ->
                               Json.Obj
                                 [
                                   ("domains", Json.Int domains);
+                                  ("valid", Json.Bool (domains <= host_cores));
                                   ("instructions_per_replica", Json.Int instr);
-                                  ("tc_on_wall_seconds", Json.Float t_on);
-                                  ("tc_off_wall_seconds", Json.Float t_off);
-                                  ("tc_on_ips", Json.Float (agg t_on));
-                                  ("tc_off_ips", Json.Float (agg t_off));
-                                  ("trace_cache_gain", Json.Float (t_off /. t_on));
+                                  ("wall_seconds", Json.Float t);
+                                  ("ips", Json.Float ips);
                                   ("vs_bench3_fast_ips", Json.Float vs);
                                 ])
                             cells) );

@@ -36,7 +36,7 @@ let default hw_model =
     cxl = Cxl.default;
   }
 
-let with_l3_size t size = { t with l3 = { t.l3 with size } }
+let with_l3_bytes t size = { t with l3 = { t.l3 with size } }
 
 let latencies t = function
   | Stramash_sim.Node_id.X86 -> t.x86_lat

@@ -27,8 +27,8 @@ val default : Stramash_mem.Layout.hw_model -> t
 (** Scaled default: 8 KB L1s, 64 KB L2, 256 KB L3 (paper-equivalent 4 MB);
     [shared_l3] set for [Fully_shared]. *)
 
-val with_l3_size : t -> int -> t
-(** Fig. 10's cache-size sweep: replace the L3 capacity. *)
+val with_l3_bytes : t -> int -> t
+(** Fig. 10's cache-size sweep: replace the L3 capacity, in bytes. *)
 
 val latencies : t -> Stramash_sim.Node_id.t -> Stramash_mem.Latency.t
 

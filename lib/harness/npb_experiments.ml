@@ -1,4 +1,5 @@
 module Layout = Stramash_mem.Layout
+module Cache_config = Stramash_cache.Config
 module Machine = Stramash_machine.Machine
 module Runner = Stramash_machine.Runner
 module Spec = Stramash_machine.Spec
@@ -31,8 +32,10 @@ let configurations =
     ("stramash-fullyshared", Machine.Stramash_kernel_os, Layout.Fully_shared);
   ]
 
-let run_one ?l3_size ~os ~hw_model spec =
-  let machine = Machine.create { Machine.default_config with os; hw_model; l3_size } in
+(* [l3] overrides the scaled default L3 capacity in bytes (Fig. 10). *)
+let run_one ?l3 ~os ~hw_model spec =
+  let cache_config = Option.map (Cache_config.with_l3_bytes (Cache_config.default hw_model)) l3 in
+  let machine = Machine.create { Machine.default_config with os; hw_model; cache_config } in
   let proc, thread = Machine.load machine spec in
   Runner.run machine proc thread spec
 
@@ -207,9 +210,9 @@ let fig10 fmt =
   List.iter
     (fun (bench, spec) ->
       List.iter
-        (fun (l3_label, l3_size) ->
-          let shm = run_one ?l3_size ~os:Machine.Popcorn_shm ~hw_model:Layout.Shared spec in
-          let str = run_one ?l3_size ~os:Machine.Stramash_kernel_os ~hw_model:Layout.Shared spec in
+        (fun (l3_label, l3) ->
+          let shm = run_one ?l3 ~os:Machine.Popcorn_shm ~hw_model:Layout.Shared spec in
+          let str = run_one ?l3 ~os:Machine.Stramash_kernel_os ~hw_model:Layout.Shared spec in
           let ratio = float_of_int shm.Runner.wall_cycles /. float_of_int str.Runner.wall_cycles in
           Report.add_row r
             [

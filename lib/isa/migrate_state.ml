@@ -1,12 +1,7 @@
 module Trace = Stramash_obs.Trace
 
 let transform ~src ~point ~dst_prog =
-  (* Migration abandons the source interpreter: its superblock traces are
-     invalidated (counted as flushes) and the shared trace-cache handle
-     travels to the destination, which warms up fresh traces for the
-     destination ISA's encoding. *)
-  Interp.invalidate_traces src;
-  let dst = Interp.create ?tc:(Interp.tc src) dst_prog in
+  let dst = Interp.create dst_prog in
   let src_regs = Interp.regs src in
   let dst_regs = Interp.regs dst in
   let n = min (Array.length src_regs) (Array.length dst_regs) in

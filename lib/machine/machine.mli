@@ -23,9 +23,9 @@ val all_os_choices : os_choice list
 type config = {
   hw_model : Stramash_mem.Layout.hw_model;
   os : os_choice;
-  l3_size : int option; (* override the scaled default (Fig. 10 sweep) *)
   cache_config : Stramash_cache.Config.t option;
-      (* full geometry/latency override (Fig. 7 machine-pair validation) *)
+      (* full geometry/latency override (Fig. 7 machine-pair validation,
+         Fig. 10 L3 sweep); its [hw_model] is replaced by the config's *)
   msg_notify : Stramash_popcorn.Msg_layer.notify_mode;
       (* SHM messaging notification: IPI (default) or polling (§6.2) *)
   seed : int64;
@@ -37,10 +37,6 @@ type config = {
          pre-fast-path simulator for baselines; Paranoid cross-checks
          every access and makes the runner audit invariants at each
          scheduling quantum *)
-  trace_cache : bool;
-      (* superblock trace cache in the interpreter (default true):
-         host-side replay machinery only — simulated counters, cycles
-         and memory contents are bit-identical either way *)
 }
 
 val default_config : config
@@ -65,14 +61,6 @@ val quantum : t -> Stramash_sim.Quantum.t
     quantum's invariant audit. *)
 
 val placement : t -> Stramash_placement.Engine.t option
-
-val trace_cache : t -> Stramash_isa.Interp.tc option
-(** The machine-wide trace-cache handle ([None] with [trace_cache =
-    false]); every interpreter this machine creates shares it. *)
-
-val trace_cache_counters : t -> (string * int) list
-(** Host-side [tc.*] counters; [] with the cache disabled. Kept out of
-    the model metrics so registries stay bit-identical on/off. *)
 
 val attach_placement : t -> Stramash_placement.Engine.t -> unit
 (** Wire a placement engine into the machine: its epoch tick joins the

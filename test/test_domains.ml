@@ -1,20 +1,15 @@
 (* Determinism of multicore host execution: simulated results must be a
    pure function of the simulated configuration, never of how many host
-   domains ran them. Covers 1-vs-N machine-level identity on NPB benches,
-   byte-identical chaos-soak rendering across domain counts, and
-   trace-cache on/off identity under a kill/restart plan (the
-   checkpoint-restore invalidation path exercised at the machine layer). *)
+   domains ran them. Covers 1-vs-N machine-level identity on NPB benches
+   and byte-identical chaos-soak rendering across domain counts. *)
 
 module Node_id = Stramash_sim.Node_id
 module Domain_pool = Stramash_sim.Domain_pool
 module Cache_sim = Stramash_cache.Cache_sim
-module Plan = Stramash_fault_inject.Plan
 module Machine = Stramash_machine.Machine
 module Runner = Stramash_machine.Runner
 module W = Stramash_workloads
 module CE = Stramash_harness.Chaos_experiments
-
-let checki = Alcotest.(check int)
 
 let small_spec bench =
   match List.assoc_opt bench (W.Npb_suite.fig9_set ~small:true) with
@@ -23,11 +18,9 @@ let small_spec bench =
 
 (* One full simulated machine, reduced to the facts a replica must agree
    on: timing, work, traffic, and the workload's memory fingerprint. *)
-let run_cell ~trace_cache bench () =
+let run_cell bench () =
   let spec = small_spec bench in
-  let machine =
-    Machine.create { Machine.default_config with cache_mode = Cache_sim.Fast; trace_cache }
-  in
+  let machine = Machine.create { Machine.default_config with cache_mode = Cache_sim.Fast } in
   let proc, thread = Machine.load machine spec in
   let result = Runner.run machine proc thread spec in
   ( result.Runner.wall_cycles,
@@ -37,7 +30,7 @@ let run_cell ~trace_cache bench () =
 
 let test_domain_identity_npb () =
   let cells = Array.of_list [ "is"; "cg"; "is"; "cg" ] in
-  let tasks = Array.map (fun bench -> run_cell ~trace_cache:true bench) cells in
+  let tasks = Array.map (fun bench -> run_cell bench) cells in
   let sequential = Domain_pool.map ~domains:1 tasks in
   let parallel = Domain_pool.map ~domains:4 tasks in
   Array.iteri
@@ -64,38 +57,6 @@ let test_soak_byte_identical () =
     (CE.verdict_to_string v2);
   Alcotest.(check string) "soak is clean" "CLEAN" (CE.verdict_to_string v1)
 
-(* The trace cache must stay invisible under chaos: a kill forces a
-   restart from checkpoint, which flushes the victim's traces — the run
-   must land on the same cycle count and fingerprint either way. *)
-let test_tc_invisible_under_chaos () =
-  let spec = small_spec "is" in
-  let baseline = Machine.create { Machine.default_config with cache_mode = Cache_sim.Fast } in
-  let bproc, bthread = Machine.load baseline spec in
-  let bresult = Runner.run baseline bproc bthread spec in
-  let origin = bproc.Stramash_kernel.Process.origin in
-  let inject =
-    Some
-      {
-        Plan.default with
-        Plan.node_events =
-          [ { Plan.node = origin; kill_at = bresult.Runner.wall_cycles / 2; restart_after = Some 20_000 } ];
-      }
-  in
-  let run ~trace_cache =
-    let machine =
-      Machine.create
-        { Machine.default_config with cache_mode = Cache_sim.Fast; inject; trace_cache }
-    in
-    let proc, thread = Machine.load machine spec in
-    let result = Runner.run machine proc thread spec in
-    (result.Runner.wall_cycles, result.Runner.instructions, CE.checksum machine ~proc)
-  in
-  let on_wall, on_instrs, on_sum = run ~trace_cache:true in
-  let off_wall, off_instrs, off_sum = run ~trace_cache:false in
-  checki "wall cycles identical under chaos" off_wall on_wall;
-  checki "instructions identical under chaos" off_instrs on_instrs;
-  Alcotest.(check bool) "checksum identical under chaos" true (on_sum = off_sum)
-
 let () =
   Alcotest.run "domains"
     [
@@ -103,7 +64,5 @@ let () =
         [
           Alcotest.test_case "1-vs-4-domain NPB identity" `Quick test_domain_identity_npb;
           Alcotest.test_case "soak renders byte-identical" `Quick test_soak_byte_identical;
-          Alcotest.test_case "trace cache invisible under chaos" `Quick
-            test_tc_invisible_under_chaos;
         ] );
     ]

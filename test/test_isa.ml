@@ -111,6 +111,37 @@ let test_division_by_zero_traps () =
   Alcotest.check_raises "div by zero traps" (Interp.Trap "division by zero") (fun () ->
       ignore (Interp.run cpu memio ~fuel:100))
 
+(* A trap must leave the state the runner's accounting reads between
+   [run] calls: pc one past the faulting op and icount including it. A
+   fresh run stopped one instruction short must sit on the divide. *)
+let test_trap_leaves_state () =
+  let b = B.create () in
+  let acc = B.immi b 1 in
+  B.for_up_const b ~lo:0 ~hi:32 (fun i ->
+      let eight = B.immi b 8 in
+      let d = B.sub b eight i in
+      B.bin_to b Mir.Div acc acc d);
+  let image = Codegen.lower ~isa:Node_id.X86 (B.finish b) in
+  let memio, _ = flat_memio () in
+  let cpu = Interp.create image in
+  (match Interp.run cpu memio ~fuel:1_000_000 with
+  | exception Interp.Trap _ -> ()
+  | _ -> Alcotest.fail "expected a division trap");
+  let fault_pc = Interp.pc cpu - 1 in
+  (match image.Machine_code.ops.(fault_pc) with
+  | Machine_code.MAlu3 (Mir.Div, _, _, _) | Machine_code.MAlu2 (Mir.Div, _, _) -> ()
+  | _ -> Alcotest.fail "pc is not one past the divide");
+  let n = Interp.icount cpu in
+  Alcotest.(check bool) "trapped inside the loop" true (n > 8);
+  let replay = Interp.create image in
+  (match Interp.run replay memio ~fuel:(n - 1) with
+  | Interp.Out_of_fuel -> ()
+  | _ -> Alcotest.fail "expected to stop one instruction short of the trap");
+  checki "stopped on the faulting op" fault_pc (Interp.pc replay);
+  Alcotest.check_raises "the next instruction traps" (Interp.Trap "division by zero") (fun () ->
+      ignore (Interp.run replay memio ~fuel:1));
+  checki "icount counts the faulting op" n (Interp.icount replay)
+
 (* ---------- loops & addressing ---------- *)
 
 let test_loop_and_indexed_store () =
@@ -280,153 +311,6 @@ let prop_cross_isa_equivalence =
       in
       dump Node_id.X86 = dump Node_id.Arm)
 
-(* ---------- superblock trace cache ---------- *)
-
-(* A memio that fingerprints every interaction: the trace cache is pure
-   host machinery, so a traced run must produce the exact fetch/load/
-   store stream of the plain dispatch loop, not merely the same final
-   state. *)
-let fingerprint_memio () =
-  let plain, mem = flat_memio () in
-  let log = Buffer.create 4096 in
-  let load width vaddr =
-    let v = plain.Interp.load width vaddr in
-    Buffer.add_string log (Printf.sprintf "L%d@%x=%Lx;" width vaddr v);
-    v
-  in
-  let store width vaddr value =
-    Buffer.add_string log (Printf.sprintf "S%d@%x=%Lx;" width vaddr value);
-    plain.Interp.store width vaddr value
-  in
-  let fetch pc = Buffer.add_string log (Printf.sprintf "F%x;" pc) in
-  ({ Interp.load; store; fetch }, mem, log)
-
-(* A hot loop with a data-dependent branch: iterations below [cut] take
-   the branch, so once the trace is built at the loop head the branch is
-   a mid-trace side exit back to generic dispatch. *)
-let side_exit_program ops ~cut =
-  let b = B.create () in
-  let base = B.immi b 0x8000 in
-  let acc = B.immi b 0 in
-  B.for_up_const b ~lo:0 ~hi:40 (fun i ->
-      List.iteri
-        (fun slot (opn, v) ->
-          let rv = B.immi b v in
-          match opn with
-          | 0 -> B.add_to b acc acc rv
-          | 1 -> B.bin_to b Mir.Xor acc acc rv
-          | 2 -> B.add_to b acc acc i
-          | _ -> B.store b Mir.W64 acc (Mir.based_disp base ((slot mod 8) * 8)))
-        ops;
-      let skip = B.label b in
-      B.branchi b Mir.Lt i cut skip;
-      B.store b Mir.W64 i (Mir.based_disp base 128);
-      B.place b skip);
-  B.finish b
-
-let run_fingerprint ?tc image =
-  let cpu = Interp.create ?tc image in
-  let memio, mem, log = fingerprint_memio () in
-  let outcome = Interp.run cpu memio ~fuel:10_000_000 in
-  (outcome, Interp.icount cpu, Array.copy (Interp.regs cpu), Buffer.contents log, mem, cpu)
-
-let prop_trace_cache_fingerprint =
-  QCheck.Test.make
-    ~name:"traced run fingerprints identical to plain dispatch (forced side exits)" ~count:60
-    QCheck.(
-      pair
-        (list_of_size (Gen.int_range 1 8) (pair (int_range 0 3) (int_range 0 100)))
-        (int_range 1 39))
-    (fun (ops, cut) ->
-      let image = Codegen.lower ~isa:Node_id.X86 (side_exit_program ops ~cut) in
-      let o_plain, ic_plain, regs_plain, log_plain, _, _ = run_fingerprint image in
-      let tc = Interp.make_tc ~threshold:2 () in
-      let o_tc, ic_tc, regs_tc, log_tc, _, cpu = run_fingerprint ~tc image in
-      let counters = Interp.tc_counters tc in
-      let c name = match List.assoc_opt name counters with Some v -> v | None -> 0 in
-      (* the property must not pass vacuously: the loop head gets hot, so
-         traces must have been built, entered, and side-exited *)
-      c "tc.built" > 0 && c "tc.entered" > 0 && c "tc.side_exits" > 0
-      && Interp.trace_count cpu > 0
-      && o_plain = o_tc && ic_plain = ic_tc && regs_plain = regs_tc && log_plain = log_tc)
-
-let hot_loop_program () =
-  let b = B.create () in
-  let acc = B.immi b 0 in
-  B.for_up_const b ~lo:0 ~hi:64 (fun i -> B.add_to b acc acc i);
-  let out = B.immi b 0x7000 in
-  B.store b Mir.W64 acc (Mir.based out);
-  B.finish b
-
-let test_tc_invalidate_flushes () =
-  let image = Codegen.lower ~isa:Node_id.X86 (hot_loop_program ()) in
-  let tc = Interp.make_tc ~threshold:2 () in
-  let cpu = Interp.create ~tc image in
-  let memio, _ = flat_memio () in
-  (match Interp.run cpu memio ~fuel:10_000 with Interp.Halted -> () | _ -> assert false);
-  Alcotest.(check bool) "traces built" true (Interp.trace_count cpu > 0);
-  let built = Interp.trace_count cpu in
-  Interp.invalidate_traces cpu;
-  checki "all traces dropped" 0 (Interp.trace_count cpu);
-  let flushes =
-    match List.assoc_opt "tc.flushes" (Interp.tc_counters tc) with Some v -> v | None -> 0
-  in
-  checki "every dropped trace counted as a flush" built flushes;
-  (* a fresh interpreter on the same tc handle must re-profile and rebuild *)
-  let cpu2 = Interp.create ~tc image in
-  (match Interp.run cpu2 memio ~fuel:10_000 with Interp.Halted -> () | _ -> assert false);
-  Alcotest.(check bool) "traces rebuilt" true (Interp.trace_count cpu2 > 0);
-  check64 "rerun result intact" (Int64.of_int (64 * 63 / 2)) (memio.Interp.load 8 0x7000)
-
-let test_tc_migration_invalidates () =
-  (* same program as the migration-transform test, but hot enough to
-     build traces on the source before the migration point *)
-  let b = B.create () in
-  let acc = B.immi b 0 in
-  B.for_up_const b ~lo:0 ~hi:32 (fun i -> B.add_to b acc acc i);
-  B.migrate_point b 0;
-  B.for_up_const b ~lo:0 ~hi:32 (fun i -> B.add_to b acc acc i);
-  let out = B.immi b 0x7000 in
-  B.store b Mir.W64 acc (Mir.based out);
-  let prog = B.finish b in
-  let x86 = Codegen.lower ~isa:Node_id.X86 prog in
-  let arm = Codegen.lower ~isa:Node_id.Arm prog in
-  let tc = Interp.make_tc ~threshold:2 () in
-  let cpu = Interp.create ~tc x86 in
-  let memio, _ = flat_memio () in
-  (match Interp.run cpu memio ~fuel:1_000_000 with
-  | Interp.Migrate 0 -> ()
-  | _ -> Alcotest.fail "expected migration point");
-  Alcotest.(check bool) "source built traces" true (Interp.trace_count cpu > 0);
-  let cpu2 = Migrate_state.transform ~src:cpu ~point:0 ~dst_prog:arm in
-  checki "source traces invalidated by migration" 0 (Interp.trace_count cpu);
-  Alcotest.(check bool) "destination inherits the tc handle" true (Interp.tc cpu2 <> None);
-  (match Interp.run cpu2 memio ~fuel:1_000_000 with
-  | Interp.Halted -> ()
-  | _ -> Alcotest.fail "expected halt after migration");
-  Alcotest.(check bool) "destination rebuilt traces" true (Interp.trace_count cpu2 > 0);
-  check64 "sum across migration" (Int64.of_int (2 * 496)) (memio.Interp.load 8 0x7000)
-
-let test_tc_trap_mid_trace_invalidates () =
-  (* divisor hits zero at iteration 8 — by then the loop-head trace is
-     built (threshold 2), so the Trap is raised from inside a trace replay
-     and must leave the cache empty *)
-  let b = B.create () in
-  let acc = B.immi b 1 in
-  B.for_up_const b ~lo:0 ~hi:32 (fun i ->
-      let eight = B.immi b 8 in
-      let d = B.sub b eight i in
-      B.bin_to b Mir.Div acc acc d);
-  let prog = B.finish b in
-  let image = Codegen.lower ~isa:Node_id.X86 prog in
-  let tc = Interp.make_tc ~threshold:2 () in
-  let cpu = Interp.create ~tc image in
-  let memio, _ = flat_memio () in
-  (match Interp.run cpu memio ~fuel:1_000_000 with
-  | exception Interp.Trap _ -> ()
-  | _ -> Alcotest.fail "expected a division trap");
-  checki "traces invalidated by the mid-trace trap" 0 (Interp.trace_count cpu)
-
 (* ---------- migration state transform ---------- *)
 
 let test_migrate_transform () =
@@ -482,7 +366,7 @@ let test_syscall_outcome () =
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_binop_semantics; prop_cross_isa_equivalence; prop_trace_cache_fingerprint ]
+    [ prop_binop_semantics; prop_cross_isa_equivalence ]
 
 let () =
   Alcotest.run "isa"
@@ -501,6 +385,7 @@ let () =
           Alcotest.test_case "branch conditions" `Quick test_branch_conditions;
           Alcotest.test_case "syscall outcome" `Quick test_syscall_outcome;
         ] );
+      ("interp_trap", [ Alcotest.test_case "leaves pc + icount" `Quick test_trap_leaves_state ]);
       ( "codegen",
         [
           Alcotest.test_case "arm immediate chunks" `Quick test_arm_immediate_chunks;
@@ -512,12 +397,6 @@ let () =
         [
           Alcotest.test_case "transform" `Quick test_migrate_transform;
           Alcotest.test_case "pc table" `Quick test_migrate_pc_table;
-        ] );
-      ( "trace_cache",
-        [
-          Alcotest.test_case "invalidate flushes + rebuilds" `Quick test_tc_invalidate_flushes;
-          Alcotest.test_case "migration invalidates" `Quick test_tc_migration_invalidates;
-          Alcotest.test_case "mid-trace trap invalidates" `Quick test_tc_trap_mid_trace_invalidates;
         ] );
       ("properties", qsuite);
     ]

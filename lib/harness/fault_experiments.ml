@@ -13,7 +13,7 @@ module Plan = Stramash_fault_inject.Plan
 module Audit = Stramash_fault_inject.Audit
 module Stramash_os = Stramash_core.Stramash_os
 module Stramash_fault = Stramash_core.Stramash_fault
-module W = Stramash_workloads
+module Cache_sim = Stramash_cache.Cache_sim
 
 let plan_config ?(drop_rate = 0.05) ?(ipi_loss = 0.02) ?(walk_fail = 0.02)
     ?(ptl_timeout = 0.01) ?(alloc_fail = 0.005) () =
@@ -28,58 +28,42 @@ let plan_config ?(drop_rate = 0.05) ?(ipi_loss = 0.02) ?(walk_fail = 0.02)
     alloc_fail_rate = alloc_fail;
   }
 
-(* Small problem sizes: the campaign's point is fault-path coverage, not
-   steady-state performance, and the tests run it twice back to back.
-   The set itself comes from the shared NPB table. *)
-let benches = W.Npb_suite.fig9_names
-
-let spec_of_bench bench = List.assoc_opt bench (W.Npb_suite.fig9_set ~small:true)
-
 let campaign fmt ?(seed = 0xC0FFEEL) ?(bench = "is") ?(config = plan_config ())
-    ?(on_metrics = fun (_ : Stramash_sim.Metrics.registry) -> ()) () =
-  match spec_of_bench bench with
-  | None ->
-      Format.fprintf fmt "unknown benchmark %s (faults campaign runs is | cg | mg | ft)@." bench;
-      false
-  | Some spec ->
-      let machine =
-        Machine.create
-          {
-            Machine.default_config with
-            Machine.os = Machine.Stramash_kernel_os;
-            seed;
-            inject = Some config;
-          }
-      in
-      let proc, thread = Machine.load machine spec in
-      let result = Runner.run machine proc thread spec in
-      Format.fprintf fmt "faults campaign: bench=%s seed=%Ld@." bench seed;
-      Format.fprintf fmt
-        "run: wall=%d cycles, %d instructions, %d migrations, %d messages, %d fallback pages@."
-        result.Runner.wall_cycles result.Runner.instructions result.Runner.migrations
-        result.Runner.messages result.Runner.replicated_pages;
-      (match Machine.inject_plan machine with
-      | Some plan ->
-          Plan.report fmt plan;
-          on_metrics (Plan.metrics plan)
-      | None -> ());
-      let env = Machine.env machine in
-      let extra =
-        match Machine.os machine with
-        | Os.Stramash os ->
-            [ ("ptl-quiescent", Stramash_fault.ptls_quiescent (Stramash_os.faults os)) ]
-        | _ -> []
-      in
-      let audit = Audit.run ~env ~procs:[ proc ] ~extra () in
-      Format.fprintf fmt "post-run audit: %a@." Audit.pp audit;
-      let mapped = Audit.mapped_frames ~env ~proc in
-      Machine.exit_process machine proc;
-      let teardown = Audit.check_teardown ~env ~procs:[ proc ] ~mapped in
-      Format.fprintf fmt "teardown audit (%d frames tracked): %a@." (List.length mapped)
-        Audit.pp teardown;
-      let clean = Audit.is_clean audit && Audit.is_clean teardown in
-      Format.fprintf fmt "campaign verdict: %s@." (if clean then "CLEAN" else "VIOLATIONS");
-      clean
+    ?(on_metrics = fun ~label:_ (_ : Stramash_sim.Metrics.registry) -> ()) () =
+  Campaign.with_bench fmt ~campaign:"faults" bench @@ fun spec ->
+  let machine = Campaign.machine ~seed ~cache_mode:Cache_sim.Fast ~inject:config () in
+  let proc, thread = Machine.load machine spec in
+  let result = Runner.run machine proc thread spec in
+  Format.fprintf fmt "faults campaign: bench=%s seed=%Ld@." bench seed;
+  Format.fprintf fmt
+    "run: wall=%d cycles, %d instructions, %d migrations, %d messages, %d fallback pages@."
+    result.Runner.wall_cycles result.Runner.instructions result.Runner.migrations
+    result.Runner.messages result.Runner.replicated_pages;
+  let plan = Option.get (Machine.inject_plan machine) in
+  Plan.report fmt plan;
+  on_metrics ~label:"fault_plan" (Plan.metrics plan);
+  (* A lighter audit than the other campaigns' — no kills, so no holding
+     area or hotplug ledger to check. *)
+  let env = Machine.env machine in
+  let extra =
+    match Machine.os machine with
+    | Os.Stramash os ->
+        [ ("ptl-quiescent", Stramash_fault.ptls_quiescent (Stramash_os.faults os)) ]
+    | _ -> []
+  in
+  let audit = Audit.run ~env ~procs:[ proc ] ~extra () in
+  Format.fprintf fmt "post-run audit: %a@." Audit.pp audit;
+  let mapped = Audit.mapped_frames ~env ~proc in
+  Machine.exit_process machine proc;
+  let teardown = Audit.check_teardown ~env ~procs:[ proc ] ~mapped in
+  Format.fprintf fmt "teardown audit (%d frames tracked): %a@." (List.length mapped) Audit.pp
+    teardown;
+  let verdict =
+    if Audit.is_clean audit && Audit.is_clean teardown then Campaign.Clean
+    else Campaign.Violations
+  in
+  Format.fprintf fmt "campaign verdict: %s@." (Campaign.verdict_to_string verdict);
+  verdict
 
 (* Experiments-registry entry: one moderate-intensity campaign plus a
    no-fault control, both audited. *)

@@ -3,12 +3,6 @@
     the §6.4 teardown check. Output is a pure function of
     (seed, bench, config) — same arguments, byte-identical text. *)
 
-val benches : string list
-(** Benchmarks the fault/chaos campaigns accept (small problem sizes). *)
-
-val spec_of_bench : string -> Stramash_machine.Spec.t option
-(** Campaign-sized spec for a {!benches} entry; [None] otherwise. *)
-
 val plan_config :
   ?drop_rate:float ->
   ?ipi_loss:float ->
@@ -25,13 +19,13 @@ val campaign :
   ?seed:int64 ->
   ?bench:string ->
   ?config:Stramash_fault_inject.Plan.config ->
-  ?on_metrics:(Stramash_sim.Metrics.registry -> unit) ->
+  ?on_metrics:(label:string -> Stramash_sim.Metrics.registry -> unit) ->
   unit ->
-  bool
+  Campaign.verdict
 (** Run the campaign; print run stats, the plan's injection counters and
-    recovery-latency histogram, and both audits. Returns [true] iff both
-    audits are clean. [on_metrics] receives the armed plan's registry
-    (the CLI folds it into [--metrics-json] snapshots). *)
+    recovery-latency histogram, and both audits. [Clean] iff both audits
+    are clean, [Violations] otherwise. [on_metrics] receives the armed
+    plan's registry (label ["fault_plan"]). *)
 
 val faults : Format.formatter -> unit
 (** The ["faults"] experiment: an injected campaign plus a no-fault

@@ -19,24 +19,10 @@ module Metrics = Stramash_sim.Metrics
 module Cache_sim = Stramash_cache.Cache_sim
 module Machine = Stramash_machine.Machine
 module Runner = Stramash_machine.Runner
-module Os = Stramash_machine.Os
-module Process = Stramash_kernel.Process
 module Plan = Stramash_fault_inject.Plan
 module Fault = Stramash_fault_inject.Fault
-module Audit = Stramash_fault_inject.Audit
-module Stramash_os = Stramash_core.Stramash_os
-module Stramash_fault = Stramash_core.Stramash_fault
-module Global_alloc = Stramash_core.Global_alloc
-module Checkpoint = Stramash_core.Checkpoint
+open Campaign
 
-type verdict = Chaos_experiments.verdict =
-  | Clean
-  | Violations
-  | Unrecovered
-  | Unknown_bench
-
-let verdict_to_string = Chaos_experiments.verdict_to_string
-let exit_code = Chaos_experiments.exit_code
 let default_slow_factor = 3.0
 
 (* The gray schedule, anchored like the chaos kill schedule: the slow
@@ -98,11 +84,10 @@ let probe_config ~factor =
     ~flaps:[] ~stalls:[] ~breaker:true
 
 type run_outcome = {
-  r_wall : int;
   r_checksum : int64 option;
   r_dirty : int;
   r_ops : (string * Metrics.Histogram.t) list;
-  r_registry : Metrics.registry option;
+  r_registry : Metrics.registry;
   r_error : string option;
 }
 
@@ -110,89 +95,39 @@ type run_outcome = {
    teardown, per-op histograms and the plan registry captured before the
    machine is dropped. *)
 let run_one fmt ~label ~seed ~cache_mode ~spec ~config =
-  let machine =
-    Machine.create
-      {
-        Machine.default_config with
-        Machine.os = Machine.Stramash_kernel_os;
-        seed;
-        cache_mode;
-        inject = Some config;
-      }
-  in
+  let machine = machine ~seed ~cache_mode ~inject:config () in
   let proc, thread = Machine.load machine spec in
-  let env = Machine.env machine in
+  let plan = Option.get (Machine.inject_plan machine) in
   let dirty = ref 0 in
-  let audit_now alabel =
-    let extra, held, ledger =
-      match Machine.os machine with
-      | Os.Stramash os ->
-          let faults = Stramash_os.faults os in
-          ( [ ("ptl-quiescent", Stramash_fault.ptls_quiescent faults) ],
-            List.map
-              (fun (f : Checkpoint.futex_image) -> (f.Checkpoint.f_uaddr, f.Checkpoint.f_tid))
-              (Stramash_fault.held_waiters faults),
-            Global_alloc.ledger (Stramash_os.global_alloc os) )
-      | _ -> ([], [], [])
-    in
-    let report =
-      Audit.run ~env ~procs:[ proc ] ~threads:(Machine.threads machine) ~held ~ledger ~extra ()
-    in
-    if Audit.is_clean report then
-      Format.fprintf fmt "audit[%s:%s]: clean (%d checks)@." label alabel report.Audit.checks
-    else begin
-      incr dirty;
-      Format.fprintf fmt "audit[%s:%s]: %a" label alabel Audit.pp report
-    end
-  in
-  let plan_data () =
-    match Machine.inject_plan machine with
-    | Some plan -> (Plan.op_histograms plan, Some (Plan.metrics plan), Some plan)
-    | None -> ([], None, None)
-  in
   match
     let result = Runner.run machine proc thread spec in
-    let chk = Chaos_experiments.checksum machine ~proc in
-    audit_now "final";
-    let mapped = Audit.mapped_frames ~env ~proc in
-    Machine.exit_process machine proc;
-    let teardown = Audit.check_teardown ~env ~procs:[ proc ] ~mapped in
-    if not (Audit.is_clean teardown) then begin
-      incr dirty;
-      Format.fprintf fmt "audit[%s:teardown]: %a" label Audit.pp teardown
-    end
-    else
-      Format.fprintf fmt "audit[%s:teardown]: clean (%d frames tracked)@." label
-        (List.length mapped);
+    let chk = checksum machine ~proc in
+    final_audits fmt machine ~proc ~dirty ~prefix:label ();
     (result, chk)
   with
   | exception Fault.Error e ->
-      let ops, registry, _ = plan_data () in
       Format.fprintf fmt "%s: unrecovered failure: %s@." label (Fault.to_string e);
       {
-        r_wall = 0;
         r_checksum = None;
         r_dirty = !dirty;
-        r_ops = ops;
-        r_registry = registry;
+        r_ops = Plan.op_histograms plan;
+        r_registry = Plan.metrics plan;
         r_error = Some (Fault.to_string e);
       }
   | result, chk ->
-      let ops, registry, plan = plan_data () in
       Format.fprintf fmt "%s: wall=%d cycles, %d instructions, %d migrations, %d messages@."
         label result.Runner.wall_cycles result.Runner.instructions result.Runner.migrations
         result.Runner.messages;
-      (match plan with Some plan -> Plan.report fmt plan | None -> ());
+      Plan.report fmt plan;
       {
-        r_wall = result.Runner.wall_cycles;
         r_checksum = chk;
         r_dirty = !dirty;
-        r_ops = ops;
-        r_registry = registry;
+        r_ops = Plan.op_histograms plan;
+        r_registry = Plan.metrics plan;
         r_error = None;
       }
 
-let gray_get run name = match run.r_registry with Some reg -> Metrics.get reg name | None -> 0
+let gray_get run name = Metrics.get run.r_registry name
 
 let op_hist run op = List.assoc_opt op run.r_ops
 
@@ -213,86 +148,59 @@ let pp_op_row fmt name off on =
 let campaign fmt ?(seed = 0x64A7L) ?(bench = "is") ?(factor = default_slow_factor)
     ?(cache_mode = Cache_sim.Fast) ?(on_metrics = fun ~label:_ (_ : Metrics.registry) -> ()) ()
     =
-  match Fault_experiments.spec_of_bench bench with
-  | None ->
-      Format.fprintf fmt "unknown benchmark %s (gray campaign runs %s)@." bench
-        (String.concat " | " Fault_experiments.benches);
-      Unknown_bench
-  | Some spec ->
-      (* --- fault-free baseline: wall + checksum fingerprint + anchor *)
-      let baseline =
-        Machine.create
-          {
-            Machine.default_config with
-            Machine.os = Machine.Stramash_kernel_os;
-            seed;
-            cache_mode;
-          }
-      in
-      let bproc, bthread = Machine.load baseline spec in
-      let bresult = Runner.run baseline bproc bthread spec in
-      let bchecksum = Chaos_experiments.checksum baseline ~proc:bproc in
-      let origin = bproc.Process.origin in
-      let anchor = Chaos_experiments.far_anchor ~spec ~origin bresult in
-      Machine.exit_process baseline bproc;
-      let slow, flaps, stalls, start, len =
-        schedule ~seed ~wall:bresult.Runner.wall_cycles ~origin ~anchor ~factor
-      in
-      Format.fprintf fmt "gray campaign: bench=%s seed=%Ld factor=%.1f@." bench seed factor;
-      Format.fprintf fmt "baseline: wall=%d cycles, checksum=%s@." bresult.Runner.wall_cycles
-        (match bchecksum with Some c -> Printf.sprintf "0x%Lx" c | None -> "<unmapped>");
-      Format.fprintf fmt
-        "  schedule: slow %s [%d, %d) x%.1f; ptl stall +%d cycles; flap burst before@."
-        (Node_id.to_string origin) start (start + len) factor (Cycles.of_us 25.0);
-      (* --- same schedule, breaker off then on (machine seed identical,
-         so the workload side of both runs draws the same streams) *)
-      let off =
-        run_one fmt ~label:"breaker-off" ~seed ~cache_mode ~spec
-          ~config:(gray_config ~slow ~flaps ~stalls ~breaker:false)
-      in
-      let on =
-        run_one fmt ~label:"breaker-on" ~seed ~cache_mode ~spec
-          ~config:(gray_config ~slow ~flaps ~stalls ~breaker:true)
-      in
-      (match off.r_registry with Some reg -> on_metrics ~label:"gray_off" reg | None -> ());
-      (match on.r_registry with Some reg -> on_metrics ~label:"gray_on" reg | None -> ());
-      Format.fprintf fmt "per-op latency (cycles), breaker-off vs breaker-on:@.";
-      List.iter (fun op -> pp_op_row fmt op (op_hist off op) (op_hist on op)) Plan.op_names;
-      let trips = gray_get on "gray.breaker_trips" in
-      let fallbacks = gray_get on "gray.breaker_fallbacks" in
-      Format.fprintf fmt
-        "breaker-on: %d trips, %d diverted faults, %d readmissions; breaker-off: %d trips@."
-        trips fallbacks
-        (gray_get on "gray.breaker_readmissions")
-        (gray_get off "gray.breaker_trips");
-      let p99_verdict =
-        match (p99_of off "fault", p99_of on "fault") with
-        | Some p_off, Some p_on ->
-            Format.fprintf fmt "fault p99: off=%.0f on=%.0f (%s)@." p_off p_on
-              (if p_on < p_off then "breaker wins" else "breaker LOSES");
-            p_on < p_off
-        | _ ->
-            Format.fprintf fmt "fault p99: no samples in one of the runs@.";
-            false
-      in
-      let fingerprint_ok run = run.r_checksum = bchecksum && run.r_checksum <> None in
-      List.iter
-        (fun (label, run) ->
-          Format.fprintf fmt "%s checksum: %s (%s baseline)@." label
-            (match run.r_checksum with Some c -> Printf.sprintf "0x%Lx" c | None -> "<unmapped>")
-            (if fingerprint_ok run then "matches" else "DIFFERS from"))
-        [ ("breaker-off", off); ("breaker-on", on) ];
-      let verdict =
-        if off.r_error <> None || on.r_error <> None then Unrecovered
-        else if
-          off.r_dirty = 0 && on.r_dirty = 0 && fingerprint_ok off && fingerprint_ok on
-          && trips >= 1 && fallbacks >= 1 && p99_verdict
-        then Clean
-        else Violations
-      in
-      Format.fprintf fmt "campaign verdict: %s (%d+%d dirty audits, %d trips)@."
-        (verdict_to_string verdict) off.r_dirty on.r_dirty trips;
-      verdict
+  with_bench fmt ~campaign:"gray" bench @@ fun spec ->
+  let base = baseline ~seed ~cache_mode spec in
+  let slow, flaps, stalls, start, len =
+    schedule ~seed ~wall:base.wall ~origin:base.origin ~anchor:base.anchor ~factor
+  in
+  Format.fprintf fmt "gray campaign: bench=%s seed=%Ld factor=%.1f@." bench seed factor;
+  pp_baseline fmt base;
+  Format.fprintf fmt "  schedule: slow %s [%d, %d) x%.1f; ptl stall +%d cycles; flap burst before@."
+    (Node_id.to_string base.origin) start (start + len) factor (Cycles.of_us 25.0);
+  (* --- same schedule, breaker off then on (machine seed identical, so
+     the workload side of both runs draws the same streams) *)
+  let off =
+    run_one fmt ~label:"breaker-off" ~seed ~cache_mode ~spec
+      ~config:(gray_config ~slow ~flaps ~stalls ~breaker:false)
+  in
+  let on =
+    run_one fmt ~label:"breaker-on" ~seed ~cache_mode ~spec
+      ~config:(gray_config ~slow ~flaps ~stalls ~breaker:true)
+  in
+  on_metrics ~label:"gray_off" off.r_registry;
+  on_metrics ~label:"gray_on" on.r_registry;
+  Format.fprintf fmt "per-op latency (cycles), breaker-off vs breaker-on:@.";
+  List.iter (fun op -> pp_op_row fmt op (op_hist off op) (op_hist on op)) Plan.op_names;
+  let trips = gray_get on "gray.breaker_trips" in
+  let fallbacks = gray_get on "gray.breaker_fallbacks" in
+  Format.fprintf fmt
+    "breaker-on: %d trips, %d diverted faults, %d readmissions; breaker-off: %d trips@." trips
+    fallbacks
+    (gray_get on "gray.breaker_readmissions")
+    (gray_get off "gray.breaker_trips");
+  let p99_verdict =
+    match (p99_of off "fault", p99_of on "fault") with
+    | Some p_off, Some p_on ->
+        Format.fprintf fmt "fault p99: off=%.0f on=%.0f (%s)@." p_off p_on
+          (if p_on < p_off then "breaker wins" else "breaker LOSES");
+        p_on < p_off
+    | _ ->
+        Format.fprintf fmt "fault p99: no samples in one of the runs@.";
+        false
+  in
+  let off_ok = report_checksum fmt ~label:"breaker-off" ~baseline:base.fingerprint off.r_checksum in
+  let on_ok = report_checksum fmt ~label:"breaker-on" ~baseline:base.fingerprint on.r_checksum in
+  let verdict =
+    if off.r_error <> None || on.r_error <> None then Unrecovered
+    else if
+      off.r_dirty = 0 && on.r_dirty = 0 && off_ok && on_ok && trips >= 1 && fallbacks >= 1
+      && p99_verdict
+    then Clean
+    else Violations
+  in
+  Format.fprintf fmt "campaign verdict: %s (%d+%d dirty audits, %d trips)@."
+    (verdict_to_string verdict) off.r_dirty on.r_dirty trips;
+  verdict
 
-(* Experiments-registry entry: one A/B soak with the default schedule. *)
+(* Experiments-registry entry: one A/B run with the default schedule. *)
 let gray fmt = ignore (campaign fmt ())

@@ -3,21 +3,6 @@
     off, then on — with per-operation latency percentiles comparing the
     two. Output is a pure function of (seed, bench, factor, cache mode). *)
 
-type verdict = Chaos_experiments.verdict =
-  | Clean
-      (** Both runs audited clean, checksums match the fault-free
-          baseline, the breaker tripped and diverted at least one fault,
-          and breaker-on p99 fault latency is strictly below breaker-off. *)
-  | Violations  (** Campaign ran but an audit, fingerprint or the p99 gate failed. *)
-  | Unrecovered  (** A typed fault escaped recovery in either run. *)
-  | Unknown_bench  (** Unusable arguments — the campaign never ran. *)
-
-val verdict_to_string : verdict -> string
-
-val exit_code : verdict -> int
-(** Shared CLI contract: [Clean] → 0, [Violations]/[Unrecovered] → 1,
-    [Unknown_bench] → 2. *)
-
 val default_slow_factor : float
 
 val probe_config : factor:float -> Stramash_fault_inject.Plan.config
@@ -33,7 +18,7 @@ val campaign :
   ?cache_mode:Stramash_cache.Cache_sim.mode ->
   ?on_metrics:(label:string -> Stramash_sim.Metrics.registry -> unit) ->
   unit ->
-  verdict
+  Campaign.verdict
 (** Fingerprint the bench fault-free, then replay it twice under the
     same seeded gray schedule (slow window on the origin anchored to the
     first far-node landing, an overlapping PTL stall window, a link-flap
@@ -41,9 +26,13 @@ val campaign :
     scoring disabled and once with the circuit breaker armed. Prints both
     runs' audits and fault-plan reports, a per-op p50/p95/p99 comparison
     table, and a final ["campaign verdict: ..."] line for CI grep.
+    [Clean] requires both runs audited clean, both checksums matching
+    the fault-free baseline, the breaker tripping and diverting at least
+    one fault, and breaker-on p99 fault latency strictly below
+    breaker-off.
     [on_metrics] receives each run's fault-plan registry (labels
     ["gray_off"] and ["gray_on"]) so the CLI can fold both into
     [--metrics-json] snapshots. *)
 
 val gray : Format.formatter -> unit
-(** The ["gray"] experiment: one A/B soak with the default schedule. *)
+(** The ["gray"] experiment: one A/B run with the default schedule. *)

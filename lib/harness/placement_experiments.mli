@@ -3,15 +3,6 @@
     campaign behind the `place` CLI subcommand (determinism replay,
     Paranoid cross-check, kernel invariant audit, teardown sweep). *)
 
-val attach :
-  ?epoch:int ->
-  policy:Stramash_placement.Policy.t ->
-  Stramash_machine.Machine.t ->
-  Stramash_placement.Engine.t
-(** Create an engine on the machine's Stramash personality and attach it
-    (must precede the first [load]). Raises [Invalid_argument] on any
-    other personality. *)
-
 val run_policy :
   ?seed:int64 ->
   ?cache_mode:Stramash_cache.Cache_sim.mode ->
@@ -35,7 +26,7 @@ val run_shm :
 
 val full_spec_of_bench : string -> Stramash_machine.Spec.t option
 (** Full-size NPB specs (as in Figs. 9-10); the small campaign specs
-    live in {!Fault_experiments.spec_of_bench}. *)
+    live in {!Campaign.spec_of_bench}. *)
 
 val crossover : Format.formatter -> unit
 (** The adaptive-vs-static table over is/cg/mg/ft. *)
@@ -47,14 +38,15 @@ val campaign :
   ?policy:Stramash_placement.Policy.t ->
   ?epoch:int ->
   ?cache_mode:Stramash_cache.Cache_sim.mode ->
-  ?on_metrics:(Stramash_sim.Metrics.registry -> unit) ->
+  ?on_metrics:(label:string -> Stramash_sim.Metrics.registry -> unit) ->
   unit ->
-  Chaos_experiments.verdict
+  Campaign.verdict
 (** Seeded verdict run (defaults: Adaptive on cg). [Clean] requires a
     clean invariant audit and teardown, a byte-identical same-seed
     replay, and Paranoid-engine agreement on the fingerprint (wall,
     instructions, migrations, placement counters). [on_metrics]
-    receives the placement counter snapshot plus the wall. *)
+    receives the placement counter snapshot plus the wall (label
+    ["placement"]). *)
 
 val placement : Format.formatter -> unit
 (** Experiments-registry entry: [crossover] plus one Adaptive cg

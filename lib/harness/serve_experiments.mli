@@ -6,22 +6,6 @@
     function of (seed, keys, theta, rate, requests, payload, cache mode,
     composition toggles). *)
 
-type verdict = Chaos_experiments.verdict =
-  | Clean
-      (** Every cell completed, the Stramash baseline (and placement
-          cell, when enabled) met the SLO, and both the baseline and the
-          chaos-composed cell replayed byte-identically from the same
-          seed. *)
-  | Violations  (** Campaign ran but an SLO gate or a replay comparison failed. *)
-  | Unrecovered  (** A typed fault escaped recovery inside a cell. *)
-  | Unknown_bench  (** Unusable arguments — the campaign never ran. *)
-
-val verdict_to_string : verdict -> string
-
-val exit_code : verdict -> int
-(** Shared CLI contract: [Clean] → 0, [Violations]/[Unrecovered] → 1,
-    [Unknown_bench] → 2. *)
-
 val chaos_inject :
   seed:int64 -> span:int -> Stramash_fault_inject.Plan.config
 (** The chaos composition's kill/restart schedule: one downtime window
@@ -53,31 +37,18 @@ val campaign :
   ?factor:float ->
   ?on_metrics:(label:string -> Stramash_sim.Metrics.registry -> unit) ->
   unit ->
-  verdict
+  Campaign.verdict
 (** Run the cell matrix — popcorn-shm and stramash baselines, then the
     enabled compositions (placement / chaos / gray / scrub, all on by
     default) — printing each cell's per-op latency table, SLO verdict
     and p99 delta vs the Stramash baseline, then replay the baseline and
     the chaos cell from the same seed and compare byte-for-byte. Ends
-    with a ["campaign verdict: ..."] line for CI grep. [on_metrics]
-    receives each cell's [serve.*] registry, labelled by cell name. *)
-
-val soak :
-  Format.formatter ->
-  ?seed:int64 ->
-  ?keys:int ->
-  ?rate:float ->
-  ?requests:int ->
-  ?cache_mode:Stramash_cache.Cache_sim.mode ->
-  cells:int ->
-  domains:int ->
-  unit ->
-  verdict * (int * int64 * verdict) list
-(** Run [cells] independent campaigns at derived seeds (seed + cell)
-    across [domains] host domains via {!Stramash_sim.Domain_pool}; cell
-    output renders into private buffers emitted in cell order, so the
-    soak is byte-identical whatever [domains] is. The caller must not
-    have a tracer installed when [domains > 1]. *)
+    with a ["campaign verdict: ..."] line for CI grep. [Clean] requires
+    every cell to complete, the Stramash baseline (and placement cell,
+    when enabled) to meet the SLO, and both the baseline and the
+    chaos-composed cell to replay byte-identically from the same seed.
+    [on_metrics] receives each cell's [serve.*] registry, labelled
+    ["serve_"] ^ cell name. *)
 
 val serve : Format.formatter -> unit
 (** The ["serve"] experiments-registry entry: one reduced-size campaign. *)

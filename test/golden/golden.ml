@@ -11,7 +11,7 @@ module Layout = Stramash_mem.Layout
 module Machine = Stramash_machine.Machine
 module Runner = Stramash_machine.Runner
 module W = Stramash_workloads
-module CE = Stramash_harness.Chaos_experiments
+module CE = Stramash_harness.Campaign
 
 let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
 

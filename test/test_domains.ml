@@ -9,6 +9,7 @@ module Cache_sim = Stramash_cache.Cache_sim
 module Machine = Stramash_machine.Machine
 module Runner = Stramash_machine.Runner
 module W = Stramash_workloads
+module C = Stramash_harness.Campaign
 module CE = Stramash_harness.Chaos_experiments
 
 let small_spec bench =
@@ -26,7 +27,7 @@ let run_cell bench () =
   ( result.Runner.wall_cycles,
     result.Runner.instructions,
     result.Runner.messages,
-    CE.checksum machine ~proc )
+    C.checksum machine ~proc )
 
 let test_domain_identity_npb () =
   let cells = Array.of_list [ "is"; "cg"; "is"; "cg" ] in
@@ -44,7 +45,10 @@ let test_domain_identity_npb () =
 let render_soak ~domains =
   let buf = Buffer.create 65536 in
   let fmt = Format.formatter_of_buffer buf in
-  let verdict, cells = CE.soak fmt ~bench:"is" ~kills:2 ~cells:2 ~domains () in
+  let verdict, cells =
+    C.soak fmt ~header:"chaos soak" ~seed:0xC4A05L ~cells:2 ~domains (fun fmt seed ->
+        CE.campaign fmt ~seed ~bench:"is" ~kills:2 ())
+  in
   Format.pp_print_flush fmt ();
   (verdict, cells, Buffer.contents buf)
 
@@ -53,9 +57,9 @@ let test_soak_byte_identical () =
   let v2, c2, out2 = render_soak ~domains:2 in
   Alcotest.(check string) "rendered soak byte-identical" out1 out2;
   Alcotest.(check bool) "per-cell verdicts identical" true (c1 = c2);
-  Alcotest.(check string) "overall verdict identical" (CE.verdict_to_string v1)
-    (CE.verdict_to_string v2);
-  Alcotest.(check string) "soak is clean" "CLEAN" (CE.verdict_to_string v1)
+  Alcotest.(check string) "overall verdict identical" (C.verdict_to_string v1)
+    (C.verdict_to_string v2);
+  Alcotest.(check string) "soak is clean" "CLEAN" (C.verdict_to_string v1)
 
 let () =
   Alcotest.run "domains"

@@ -9,6 +9,7 @@ module Metrics = Stramash_sim.Metrics
 module Plan = Stramash_fault_inject.Plan
 module Health = Stramash_fault_inject.Health
 module GE = Stramash_harness.Gray_experiments
+module C = Stramash_harness.Campaign
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -282,7 +283,7 @@ let test_plan_backoff_matches_legacy_when_unarmed () =
 
 let test_campaign_unknown_bench () =
   let fmt = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
-  checkb "unknown bench" true (GE.campaign fmt ~bench:"nope" () = GE.Unknown_bench)
+  checkb "unknown bench" true (GE.campaign fmt ~bench:"nope" () = C.Unknown_bench)
 
 let test_campaign_clean_and_deterministic () =
   let run () =
@@ -294,8 +295,8 @@ let test_campaign_clean_and_deterministic () =
   in
   let v1, out1 = run () in
   let v2, out2 = run () in
-  checkb "clean" true (v1 = GE.Clean);
-  checkb "replay clean" true (v2 = GE.Clean);
+  checkb "clean" true (v1 = C.Clean);
+  checkb "replay clean" true (v2 = C.Clean);
   checkb "same seed, byte-identical output" true (out1 = out2);
   checkb "breaker comparison rendered" true
     (let contains s sub =
@@ -306,10 +307,10 @@ let test_campaign_clean_and_deterministic () =
      contains out1 "breaker wins")
 
 let test_exit_codes () =
-  checki "clean" 0 (GE.exit_code GE.Clean);
-  checki "violations" 1 (GE.exit_code GE.Violations);
-  checki "unrecovered" 1 (GE.exit_code GE.Unrecovered);
-  checki "unknown" 2 (GE.exit_code GE.Unknown_bench)
+  checki "clean" 0 (C.exit_code C.Clean);
+  checki "violations" 1 (C.exit_code C.Violations);
+  checki "unrecovered" 1 (C.exit_code C.Unrecovered);
+  checki "unknown" 2 (C.exit_code C.Unknown_bench)
 
 let () =
   Alcotest.run "gray"

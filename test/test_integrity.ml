@@ -12,6 +12,7 @@ module Plan = Stramash_fault_inject.Plan
 module Integrity = Stramash_fault_inject.Integrity
 module Checkpoint = Stramash_core.Checkpoint
 module IE = Stramash_harness.Integrity_experiments
+module C = Stramash_harness.Campaign
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -359,7 +360,7 @@ let test_corruption_stream_does_not_perturb_base_sites () =
 
 let test_campaign_unknown_bench () =
   let fmt = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
-  checkb "unknown bench" true (IE.campaign fmt ~bench:"nope" () = IE.Unknown_bench)
+  checkb "unknown bench" true (IE.campaign fmt ~bench:"nope" () = C.Unknown_bench)
 
 let test_campaign_clean_and_deterministic () =
   let run () =
@@ -371,15 +372,15 @@ let test_campaign_clean_and_deterministic () =
   in
   let v1, out1 = run () in
   let v2, out2 = run () in
-  checkb "clean" true (v1 = IE.Clean);
-  checkb "replay clean" true (v2 = IE.Clean);
+  checkb "clean" true (v1 = C.Clean);
+  checkb "replay clean" true (v2 = C.Clean);
   checkb "same seed, byte-identical output" true (out1 = out2)
 
 let test_exit_codes () =
-  checki "clean" 0 (IE.exit_code IE.Clean);
-  checki "violations" 1 (IE.exit_code IE.Violations);
-  checki "unrecovered" 1 (IE.exit_code IE.Unrecovered);
-  checki "unknown" 2 (IE.exit_code IE.Unknown_bench)
+  checki "clean" 0 (C.exit_code C.Clean);
+  checki "violations" 1 (C.exit_code C.Violations);
+  checki "unrecovered" 1 (C.exit_code C.Unrecovered);
+  checki "unknown" 2 (C.exit_code C.Unknown_bench)
 
 let () =
   Alcotest.run "integrity"

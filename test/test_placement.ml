@@ -28,7 +28,7 @@ module Os = Stramash_machine.Os
 module Spec = Stramash_machine.Spec
 module Mir = Stramash_isa.Mir
 module B = Stramash_isa.Builder
-module FE = Stramash_harness.Fault_experiments
+module C = Stramash_harness.Campaign
 module CE = Stramash_harness.Chaos_experiments
 module PE = Stramash_harness.Placement_experiments
 
@@ -135,7 +135,7 @@ let test_hotness_sorted () =
 
 (* ---------- Engine on a real machine ---------- *)
 
-let small_cg = Option.get (FE.spec_of_bench "cg")
+let small_cg = Option.get (C.spec_of_bench "cg")
 
 let fingerprint (result : Runner.result) engine =
   (result.Runner.wall_cycles, result.Runner.instructions, result.Runner.migrations,
@@ -318,14 +318,14 @@ let null_fmt () =
 
 let test_campaign_unknown_bench () =
   checki "unknown bench is the CLI's exit 2" 2
-    (CE.exit_code (PE.campaign (null_fmt ()) ~bench:"nope" ()))
+    (C.exit_code (PE.campaign (null_fmt ()) ~bench:"nope" ()))
 
 let test_campaign_clean () =
-  checkb "adaptive cg campaign is clean" true (PE.campaign (null_fmt ()) () = CE.Clean)
+  checkb "adaptive cg campaign is clean" true (PE.campaign (null_fmt ()) () = C.Clean)
 
 let test_chaos_with_placement_clean () =
   checkb "chaos campaign stays clean under adaptive placement" true
-    (CE.campaign (null_fmt ()) ~kills:2 ~placement:Policy.Adaptive () = CE.Clean)
+    (CE.campaign (null_fmt ()) ~kills:2 ~placement:Policy.Adaptive () = C.Clean)
 
 (* ---------- Core: Fused_namespace ---------- *)
 

@@ -162,6 +162,20 @@ let validate_events events =
       in
       check mine)
     Node_id.all;
+  (* The two kernels are never down at once: no kill may land while the
+     peer is down. A restart due at the kill's cycle runs first, as in the
+     runner. Per-node events never overlap, so the peer's latest kill is
+     the only one that can cover this one. *)
+  let latest = Array.make (List.length Node_id.all) None in
+  List.iter
+    (fun e ->
+      (match latest.(Node_id.index (Node_id.other e.node)) with
+      | Some p when (match p.restart_after with None -> true | Some d -> e.kill_at < p.kill_at + d)
+        ->
+          invalid_arg "Plan: a node_event kills a node while its peer is down"
+      | _ -> ());
+      latest.(Node_id.index e.node) <- Some e)
+    sorted;
   sorted
 
 (* One place to reject a malformed config before a campaign starts, so

@@ -111,8 +111,9 @@ val default : config
 
 val validate : config -> (unit, string) result
 (** Full structural validation: rates in [0, 1], cycle counts
-    non-negative, attempt counts >= 1, non-overlapping [node_events],
-    per-node [gray_slow] windows and [scrub_windows], in-range flip
+    non-negative, attempt counts >= 1, non-overlapping [node_events] per
+    node and no kill landing while the peer is down (a restart due at
+    the kill's cycle counts as first), per-node [gray_slow] windows and [scrub_windows], in-range flip
     events (bits in [1, 8], node index within [Node_id.all]), sane
     health parameters. CLI entry points call this before building a
     machine so a bad flag fails fast with a message instead of deep

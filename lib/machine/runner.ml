@@ -392,11 +392,14 @@ let collect machine ~node_icounts ~migrations ~user_stalls ~idle ~marks =
    restarts the scheduler drains at quantum boundaries. Drain order is a
    pure function of simulated time — due-time ascending, restart before
    kill on a tie (a node revived at cycle T must be back before a
-   same-cycle kill targets its peer; the schedule never leaves both
-   nodes dead at once). Nothing about the order depends on host
-   scheduling or list-construction accidents, which is what lets
-   1-domain and N-domain soaks replay the same failure sequence
-   byte-for-byte. *)
+   same-cycle kill targets its peer). A kill waits for every pending
+   restart: kills land at quantum boundaries and restarts count from
+   that landing, so a schedule whose nominal downtimes never overlap
+   ({!Plan.validate}) can still bring the next kill due while its peer
+   is down; deferring it keeps both nodes from being dead at once.
+   Nothing about the order depends on host scheduling or
+   list-construction accidents, which is what lets 1-domain and
+   N-domain soaks replay the same failure sequence byte-for-byte. *)
 module Chaos_mailbox = struct
   type event = Kill of Plan.node_event | Restart of Node_id.t
 
@@ -411,7 +414,10 @@ module Chaos_mailbox = struct
     t.restarts <- List.merge (fun (_, a) (_, b) -> compare (a : int) b) t.restarts [ (node, at) ]
 
   let next_due t =
-    let kill = match t.kills with ev :: _ -> Some (ev.Plan.kill_at, Kill ev) | [] -> None in
+    let last_restart = List.fold_left (fun acc (_, at) -> max acc at) 0 t.restarts in
+    let kill =
+      match t.kills with ev :: _ -> Some (max ev.Plan.kill_at last_restart, Kill ev) | [] -> None
+    in
     let restart = match t.restarts with (n, at) :: _ -> Some (at, Restart n) | [] -> None in
     match (kill, restart) with
     | None, x | x, None -> x

@@ -1,7 +1,8 @@
 (* Golden pin of simulated NPB results.
 
    One line per cell of the small Fig. 9 set x {popcorn-shm, stramash} x
-   the three hardware models. Every field is a simulated quantity, so a
+   the three hardware models, then a small EP under the same six
+   configurations. Every field is a simulated quantity, so a
    change that moves one cycle, message or page fails [dune runtest]
    with a diff against npb.expected. Regenerate the file (run the rule,
    then [dune promote]) only for a change meant to move simulated
@@ -14,6 +15,8 @@ module W = Stramash_workloads
 module CE = Stramash_harness.Campaign
 
 let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
+
+let small_ep = W.Npb_ep.spec ~params:{ W.Npb_ep.samples = 8192; iterations = 2 } ()
 
 let () =
   List.iter
@@ -36,4 +39,4 @@ let () =
                 | None -> "unmapped"))
             Layout.all_hw_models)
         [ Machine.Popcorn_shm; Machine.Stramash_kernel_os ])
-    (W.Npb_suite.fig9_set ~small:true)
+    (W.Npb_suite.fig9_set ~small:true @ [ ("ep", small_ep) ])

@@ -530,11 +530,17 @@ let run_scheduler ?on_recovery machine items ~fuel =
       Meter.set m at
     end
   in
+  (* The survivor's own clock at each node's latest death. [Liveness]
+     stamps the death on the platform wall clock, which can run ahead of
+     the survivor; detection latency is measured on the survivor's clock
+     at both ends so it can never go negative. *)
+  let death_seen_at = [| 0; 0 |] in
   let do_kill (ev : Plan.node_event) =
     let node = ev.Plan.node in
     if not (Liveness.is_alive liveness (Node_id.other node)) then
       invalid_arg "Runner: chaos schedule kills a node while its peer is already dead";
     let now = wall () in
+    death_seen_at.(Node_id.index node) <- Meter.get (Env.meter env (Node_id.other node));
     Liveness.kill liveness node ~at:now;
     Os.on_node_death os ~procs ~threads:(Machine.threads machine) ~node ~now;
     match ev.Plan.restart_after with
@@ -581,8 +587,9 @@ let run_scheduler ?on_recovery machine items ~fuel =
                      vs. the worst-case interval * miss_threshold bound. *)
                   match Machine.inject_plan machine with
                   | Some plan ->
-                      Plan.note_detection_latency plan
-                        ~cycles:(now - Liveness.died_at liveness peer)
+                      let cycles = now - death_seen_at.(Node_id.index peer) in
+                      assert (cycles >= 0);
+                      Plan.note_detection_latency plan ~cycles
                   | None -> ()
                 end
               end

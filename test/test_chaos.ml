@@ -391,6 +391,23 @@ let test_kill_deferred_past_peer_restart () =
     "both kills recovered, x86 first" [ "x86"; "arm" ]
     (List.rev_map Node_id.to_string !recovered)
 
+(* A dense schedule kills a node whose clock runs ahead of the survivor's;
+   the watchdog's detection latency is still measured forward in time. *)
+let test_detection_latency_non_negative () =
+  let buf = Buffer.create 4096 in
+  let fmt = Format.formatter_of_buffer buf in
+  let reg = ref None in
+  let verdict =
+    CE.campaign fmt ~kills:20
+      ~on_metrics:(fun ~label r -> if label = "fault_plan" then reg := Some r)
+      ()
+  in
+  checkb "clean verdict" true (verdict = C.Clean);
+  let reg = Option.get !reg in
+  checkb "watchdog fired" true (Metrics.get reg "chaos.detections" > 0);
+  let latency = Metrics.get reg "chaos.detection_latency_cycles" in
+  checkb (Printf.sprintf "detection latency %d >= 0" latency) true (latency >= 0)
+
 (* ---------- chaos campaign: soak + determinism ---------- *)
 
 let render_chaos ~seed =
@@ -458,6 +475,8 @@ let () =
           Alcotest.test_case "unrecovered kill" `Quick test_kill_without_restart_is_unrecovered;
           Alcotest.test_case "kill deferred past peer restart" `Quick
             test_kill_deferred_past_peer_restart;
+          Alcotest.test_case "detection latency non-negative" `Quick
+            test_detection_latency_non_negative;
           Alcotest.test_case "soak determinism" `Slow test_chaos_campaign_deterministic;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
         ] );

@@ -254,7 +254,23 @@ let set_writeback_hook t hook =
 
 let reset_stats t = Array.iter zero_stats t.nstats
 
-let fire_writeback t node ~line = List.iter (fun f -> f node ~line) t.writeback_hooks
+(* Observer chains are walked by hand: [List.iter] with a capturing
+   closure would allocate on every eviction and every probed access. *)
+let rec fire_writeback_hooks hooks node ~line =
+  match hooks with
+  | [] -> ()
+  | f :: rest ->
+      f node ~line;
+      fire_writeback_hooks rest node ~line
+
+let fire_writeback t node ~line = fire_writeback_hooks t.writeback_hooks node ~line
+
+let rec fire_probes probes node kind paddr =
+  match probes with
+  | [] -> ()
+  | f :: rest ->
+      f node kind paddr;
+      fire_probes rest node kind paddr
 
 let caches t node = t.nodes.(Node_id.index node)
 let nstat t node = t.nstats.(Node_id.index node)
@@ -301,18 +317,20 @@ let evict_from_coherence_point t node ~line =
 
 (* Eviction from the shared L3 invalidates both nodes' private copies
    (Back-Invalidate Snoop in CXL terms). *)
+let back_invalidate t node ~line =
+  if Directory.holds t.dir node ~line then begin
+    let s = nstat t node in
+    if invalidate_private t node ~line then begin
+      s.writebacks <- s.writebacks + 1;
+      fire_writeback t node ~line
+    end;
+    s.back_invalidations <- s.back_invalidations + 1
+  end
+
+(* Both nodes in [Node_id.all] order. *)
 let evict_from_shared_l3 t ~line =
-  List.iter
-    (fun node ->
-      if Directory.holds t.dir node ~line then begin
-        let s = nstat t node in
-        if invalidate_private t node ~line then begin
-          s.writebacks <- s.writebacks + 1;
-          fire_writeback t node ~line
-        end;
-        s.back_invalidations <- s.back_invalidations + 1
-      end)
-    Node_id.all
+  back_invalidate t Node_id.X86 ~line;
+  back_invalidate t Node_id.Arm ~line
 
 let insert_with_eviction t node level ~line ~coherence_point =
   match Level.insert_evict level ~line with
@@ -516,9 +534,7 @@ let access_slow t ~node kind ~line ~paddr ~populate =
 let kind_name = function Ifetch -> "ifetch" | Load -> "load" | Store -> "store"
 
 let access t ~node kind ~paddr =
-  (match t.probes with
-  | [] -> ()
-  | probes -> List.iter (fun f -> f node kind paddr) probes);
+  fire_probes t.probes node kind paddr;
   let line = Addr.line_of paddr in
   match t.mode with
   | Reference -> access_slow t ~node kind ~line ~paddr ~populate:false

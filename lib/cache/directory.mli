@@ -14,5 +14,9 @@ val holds : t -> Stramash_sim.Node_id.t -> line:int -> bool
 
 val tracked_lines : t -> int
 
+val capacity : t -> int
+(** Slots in the backing table; grows only while more lines are tracked
+    at once than ever before. *)
+
 val iter_lines : t -> f:(int -> unit) -> unit
 (** Visit every line with a non-[I] state on some node. *)

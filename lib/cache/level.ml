@@ -28,18 +28,18 @@ let view t = { v_tags = t.tags; v_stamp = t.stamp; v_tick = t.tick }
 
 let set_of t line = line land (t.sets - 1)
 
-(* [base + w < sets * ways] for every scanned way, so the unsafe reads are
-   in bounds by construction. *)
+(* Every scanned index is below [set * ways + ways <= sets * ways], so
+   the unsafe reads are in bounds by construction. A [while] loop rather
+   than a local recursive function, which would allocate a closure per
+   lookup. *)
 let find t line =
-  let base = set_of t line * t.ways in
   let tags = t.tags in
-  let ways = t.ways in
-  let rec scan w =
-    if w >= ways then -1
-    else if Array.unsafe_get tags (base + w) = line then base + w
-    else scan (w + 1)
-  in
-  scan 0
+  let i = ref (set_of t line * t.ways) in
+  let stop = !i + t.ways in
+  while !i < stop && Array.unsafe_get tags !i <> line do
+    incr i
+  done;
+  if !i < stop then !i else -1
 
 (* [idx] always comes from [find]/[insert], which stay within
    [sets * ways], so the unsafe write is in bounds by construction. *)

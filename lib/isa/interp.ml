@@ -4,9 +4,13 @@ type memio = {
   fetch : int -> unit;
 }
 
+(* The register file is a flat byte buffer of 8-byte slots read and
+   written with the unboxed 64-bit primitives, so an ALU or FP result
+   goes from operands to its slot without a heap-allocated [int64] box.
+   Register [r] lives at byte offset [r * 8]. *)
 type t = {
   prog : Machine.program;
-  register_file : int64 array;
+  register_file : Bytes.t;
   mutable pc : int;
   mutable icount : int;
   mutable halted : bool;
@@ -16,8 +20,11 @@ type outcome = Out_of_fuel | Halted | Migrate of int | Syscall of Mir.syscall
 
 exception Trap of string
 
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
 (* Every register index is validated here, once, so the dispatch loop can
-   use unsafe array accesses on the register file. *)
+   use unchecked accesses on the register file. *)
 let validate_registers (prog : Machine.program) =
   let n = prog.Machine.nregs in
   let ok r = r >= 0 && r < n in
@@ -50,18 +57,29 @@ let validate_registers (prog : Machine.program) =
 
 let create prog =
   validate_registers prog;
-  { prog; register_file = Array.make prog.Machine.nregs 0L; pc = 0; icount = 0; halted = false }
+  {
+    prog;
+    register_file = Bytes.make (prog.Machine.nregs * 8) '\000';
+    pc = 0;
+    icount = 0;
+    halted = false;
+  }
 
 let program t = t.prog
 let pc t = t.pc
 let set_pc t pc = t.pc <- pc
 let icount t = t.icount
-let reg t r = t.register_file.(r)
-let set_reg t r v = t.register_file.(r) <- v
-let regs t = t.register_file
+
+(* Bounds-checked, native-endian like the unchecked primitives above. *)
+let reg t r = Bytes.get_int64_ne t.register_file (r * 8)
+let set_reg t r v = Bytes.set_int64_ne t.register_file (r * 8) v
+
 let halted t = t.halted
 
-let eval_binop op a b =
+(* The evaluators are inlined into the dispatch loop, where operands come
+   straight from and results go straight to the register file: inlined,
+   no [int64] is ever boxed. *)
+let[@inline] eval_binop op a b =
   match op with
   | Mir.Add -> Int64.add a b
   | Mir.Sub -> Int64.sub a b
@@ -74,7 +92,7 @@ let eval_binop op a b =
   | Mir.Shl -> Int64.shift_left a (Int64.to_int b land 63)
   | Mir.Shr -> Int64.shift_right_logical a (Int64.to_int b land 63)
 
-let eval_fbinop op a b =
+let[@inline] eval_fbinop op a b =
   let x = Int64.float_of_bits a and y = Int64.float_of_bits b in
   let r =
     match op with
@@ -85,31 +103,14 @@ let eval_fbinop op a b =
   in
   Int64.bits_of_float r
 
-(* Local mirror of [Mir.eval_cond] (identical semantics): the dispatch
-   loop takes a branch per simulated loop iteration, so the comparison
-   must not be a cross-module call (no flambda, so those never inline). *)
-let eval_cond cond a b =
-  let c = Int64.compare a b in
-  match cond with
-  | Mir.Eq -> c = 0
-  | Mir.Ne -> c <> 0
-  | Mir.Lt -> c < 0
-  | Mir.Le -> c <= 0
-  | Mir.Gt -> c > 0
-  | Mir.Ge -> c >= 0
-
-(* Local mirror of [Mir.bytes_of_width], for the same reason: every load
-   and store decodes its width. *)
-let bytes_of_width = function Mir.W8 -> 1 | Mir.W16 -> 2 | Mir.W32 -> 4 | Mir.W64 -> 8
-
-(* Register indices were validated at [create]; unsafe accesses here are in
-   bounds by construction. *)
-let effective_address regs (m : Machine.mem) =
-  let base = Int64.to_int (Array.unsafe_get regs m.Machine.mbase) in
+(* Register indices were validated at [create]; unchecked accesses here
+   are in bounds by construction. *)
+let[@inline] effective_address regs (m : Machine.mem) =
+  let base = Int64.to_int (get64u regs (m.Machine.mbase * 8)) in
   let idx =
     match m.Machine.mindex with
     | None -> 0
-    | Some i -> Int64.to_int (Array.unsafe_get regs i) * m.Machine.mscale
+    | Some i -> Int64.to_int (get64u regs (i * 8)) * m.Machine.mscale
   in
   base + idx + m.Machine.mdisp
 
@@ -135,10 +136,6 @@ let run t memio ~fuel =
        ([Runner.account], the schedulers) only run between [run] calls. *)
     let pcr = ref t.pc in
     let ic = ref t.icount in
-    let flush () =
-      t.pc <- !pcr;
-      t.icount <- !ic
-    in
     (try
        while !running && !remaining > 0 do
          let pc = !pcr in
@@ -150,45 +147,45 @@ let run t memio ~fuel =
          (* [pc < nops] was just checked, so ops/code_off reads are in
             bounds; register indices were validated at [create]. *)
          match Array.unsafe_get ops pc with
-         | Machine.MImm (r, v) -> Array.unsafe_set regs r v
-         | Machine.MMovR (d, s) -> Array.unsafe_set regs d (Array.unsafe_get regs s)
+         | Machine.MImm (r, v) -> set64u regs (r * 8) v
+         | Machine.MMovR (d, s) -> set64u regs (d * 8) (get64u regs (s * 8))
          | Machine.MAlu3 (op, d, a, b) ->
-             Array.unsafe_set regs d
-               (eval_binop op (Array.unsafe_get regs a) (Array.unsafe_get regs b))
+             set64u regs (d * 8)
+               (eval_binop op (get64u regs (a * 8)) (get64u regs (b * 8)))
          | Machine.MAlu2 (op, d, s) ->
-             Array.unsafe_set regs d
-               (eval_binop op (Array.unsafe_get regs d) (Array.unsafe_get regs s))
+             set64u regs (d * 8)
+               (eval_binop op (get64u regs (d * 8)) (get64u regs (s * 8)))
          | Machine.MAluI (op, d, v) ->
-             Array.unsafe_set regs d (eval_binop op (Array.unsafe_get regs d) v)
+             set64u regs (d * 8) (eval_binop op (get64u regs (d * 8)) v)
          | Machine.MAlu3I (op, d, a, v) ->
-             Array.unsafe_set regs d (eval_binop op (Array.unsafe_get regs a) v)
+             set64u regs (d * 8) (eval_binop op (get64u regs (a * 8)) v)
          | Machine.MLoad (w, d, m) ->
              let va = effective_address regs m in
-             Array.unsafe_set regs d (load (bytes_of_width w) va)
+             set64u regs (d * 8) (load (Mir.bytes_of_width w) va)
          | Machine.MStore (w, s, m) ->
              let va = effective_address regs m in
-             store (bytes_of_width w) va (Array.unsafe_get regs s)
+             store (Mir.bytes_of_width w) va (get64u regs (s * 8))
          | Machine.MAluMem (op, d, m) ->
              let va = effective_address regs m in
-             Array.unsafe_set regs d (eval_binop op (Array.unsafe_get regs d) (load 8 va))
+             set64u regs (d * 8) (eval_binop op (get64u regs (d * 8)) (load 8 va))
          | Machine.MFAluMem (op, d, m) ->
              let va = effective_address regs m in
-             Array.unsafe_set regs d (eval_fbinop op (Array.unsafe_get regs d) (load 8 va))
+             set64u regs (d * 8) (eval_fbinop op (get64u regs (d * 8)) (load 8 va))
          | Machine.MFAlu3 (op, d, a, b) ->
-             Array.unsafe_set regs d
-               (eval_fbinop op (Array.unsafe_get regs a) (Array.unsafe_get regs b))
+             set64u regs (d * 8)
+               (eval_fbinop op (get64u regs (a * 8)) (get64u regs (b * 8)))
          | Machine.MFAlu2 (op, d, s) ->
-             Array.unsafe_set regs d
-               (eval_fbinop op (Array.unsafe_get regs d) (Array.unsafe_get regs s))
+             set64u regs (d * 8)
+               (eval_fbinop op (get64u regs (d * 8)) (get64u regs (s * 8)))
          | Machine.MCvtIF (d, s) ->
-             Array.unsafe_set regs d
-               (Int64.bits_of_float (Int64.to_float (Array.unsafe_get regs s)))
+             set64u regs (d * 8)
+               (Int64.bits_of_float (Int64.to_float (get64u regs (s * 8))))
          | Machine.MCvtFI (d, s) ->
-             Array.unsafe_set regs d
-               (Int64.of_float (Int64.float_of_bits (Array.unsafe_get regs s)))
+             set64u regs (d * 8)
+               (Int64.of_float (Int64.float_of_bits (get64u regs (s * 8))))
          | Machine.MJmp target -> pcr := target
          | Machine.MBr (c, a, b, target) ->
-             if eval_cond c (Array.unsafe_get regs a) (Array.unsafe_get regs b) then pcr := target
+             if Mir.eval_cond c (get64u regs (a * 8)) (get64u regs (b * 8)) then pcr := target
          | Machine.MSyscall s ->
              result := Syscall s;
              running := false
@@ -201,8 +198,10 @@ let run t memio ~fuel =
              running := false
        done
      with e ->
-       flush ();
+       t.pc <- !pcr;
+       t.icount <- !ic;
        raise e);
-    flush ();
+    t.pc <- !pcr;
+    t.icount <- !ic;
     !result
   end

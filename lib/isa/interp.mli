@@ -31,9 +31,10 @@ val pc : t -> int
 val set_pc : t -> int -> unit
 val icount : t -> int
 val reg : t -> Mir.reg -> int64
+(** @raise Invalid_argument outside the program's [nregs]. *)
+
 val set_reg : t -> Mir.reg -> int64 -> unit
-val regs : t -> int64 array
-(** The live register file (shared, not a copy). *)
+(** @raise Invalid_argument outside the program's [nregs]. *)
 
 val run : t -> memio -> fuel:int -> outcome
 (** Execute at most [fuel] instructions. *)

@@ -2,10 +2,10 @@ module Trace = Stramash_obs.Trace
 
 let transform ~src ~point ~dst_prog =
   let dst = Interp.create dst_prog in
-  let src_regs = Interp.regs src in
-  let dst_regs = Interp.regs dst in
-  let n = min (Array.length src_regs) (Array.length dst_regs) in
-  Array.blit src_regs 0 dst_regs 0 n;
+  let n = min (Interp.program src).Machine.nregs dst_prog.Machine.nregs in
+  for r = 0 to n - 1 do
+    Interp.set_reg dst r (Interp.reg src r)
+  done;
   Interp.set_pc dst (Machine.find_migrate_pc dst_prog point + 1);
   if Trace.enabled () then
     Trace.instant ~subsys:"migrate" ~op:"transform"

@@ -14,7 +14,9 @@ type fbinop = Fadd | Fsub | Fmul | Fdiv
 
 type cond = Eq | Ne | Lt | Le | Gt | Ge
 
-let eval_cond cond a b =
+(* Inlined into the interpreter's dispatch loop, which takes a branch per
+   simulated loop iteration and keeps the operands unboxed. *)
+let[@inline] eval_cond cond a b =
   let c = Int64.compare a b in
   match cond with
   | Eq -> c = 0

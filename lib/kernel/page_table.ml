@@ -28,7 +28,7 @@ let index_at ~level vaddr = (vaddr lsr (Addr.page_shift + (index_bits * level)))
 
 let entry_addr table_paddr idx = table_paddr + (idx * 8)
 
-let read_entry io paddr =
+let[@inline] read_entry io paddr =
   io.charge_read paddr;
   Phys_mem.read_u64 io.phys paddr
 
@@ -36,98 +36,108 @@ let write_entry io paddr v =
   io.charge_write paddr;
   Phys_mem.write_u64 io.phys paddr v
 
-(* Directory entries use the same per-ISA encoding as leaves. *)
-let decode_dir t v = Option.map fst (Pte.decode ~isa:t.isa v)
-
 (* Descend to the table that holds the leaf entry. [alloc] controls whether
-   missing directories are created. Returns the leaf table's paddr. *)
+   missing directories are created. Returns the leaf table's paddr, or -1
+   when a directory is missing and [alloc] is false. Directory entries use
+   the same per-ISA encoding as leaves. *)
 let rec descend t io ~level ~table ~vaddr ~alloc =
-  if level = 0 then Some table
+  if level = 0 then table
   else begin
     let slot = entry_addr table (index_at ~level vaddr) in
-    let raw = read_entry io slot in
-    match decode_dir t raw with
-    | Some frame -> descend t io ~level:(level - 1) ~table:(frame lsl Addr.page_shift) ~vaddr ~alloc
-    | None ->
-        if not alloc then None
-        else begin
-          (* Directory allocation is rare enough to record every time. No
-             meter in scope: the event inherits the node and clock of the
-             innermost open span (the fault handler driving us). *)
-          if Trace.enabled () then
-            Trace.instant ~subsys:"page_table" ~op:"alloc_table"
-              ~tags:[ ("level", string_of_int level) ]
-              ();
-          let fresh = io.alloc_table () in
-          t.table_pages <- t.table_pages + 1;
-          let entry =
-            Pte.encode ~isa:t.isa ~frame:(fresh lsr Addr.page_shift) Pte.default_flags
-          in
-          write_entry io slot entry;
-          descend t io ~level:(level - 1) ~table:fresh ~vaddr ~alloc
-        end
+    let frame = Pte.frame_or_absent ~isa:t.isa (read_entry io slot) in
+    if frame >= 0 then
+      descend t io ~level:(level - 1) ~table:(frame lsl Addr.page_shift) ~vaddr ~alloc
+    else if not alloc then -1
+    else begin
+      (* Directory allocation is rare enough to record every time. No
+         meter in scope: the event inherits the node and clock of the
+         innermost open span (the fault handler driving us). *)
+      if Trace.enabled () then
+        Trace.instant ~subsys:"page_table" ~op:"alloc_table"
+          ~tags:[ ("level", string_of_int level) ]
+          ();
+      let fresh = io.alloc_table () in
+      t.table_pages <- t.table_pages + 1;
+      let entry = Pte.encode ~isa:t.isa ~frame:(fresh lsr Addr.page_shift) Pte.default_flags in
+      write_entry io slot entry;
+      descend t io ~level:(level - 1) ~table:fresh ~vaddr ~alloc
+    end
   end
 
+let descend_from_root t io ~vaddr ~alloc =
+  descend t io ~level:(levels - 1) ~table:t.root ~vaddr ~alloc
+
+(* Paddr of the leaf PTE slot, or -1 when a directory is missing. *)
+let leaf_slot t io ~vaddr =
+  let table = descend_from_root t io ~vaddr ~alloc:false in
+  if table < 0 then -1 else entry_addr table (index_at ~level:0 vaddr)
+
 let leaf_entry_paddr t io ~vaddr =
-  match descend t io ~level:(levels - 1) ~table:t.root ~vaddr ~alloc:false with
-  | None -> None
-  | Some table -> Some (entry_addr table (index_at ~level:0 vaddr))
+  let slot = leaf_slot t io ~vaddr in
+  if slot < 0 then None else Some slot
 
 let walk_raw t io ~vaddr =
-  match leaf_entry_paddr t io ~vaddr with
-  | None -> None
-  | Some slot ->
-      let raw = read_entry io slot in
-      if Pte.decode ~isa:t.isa raw = None then None else Some raw
+  let slot = leaf_slot t io ~vaddr in
+  if slot < 0 then None
+  else
+    let raw = read_entry io slot in
+    if Pte.frame_or_absent ~isa:t.isa raw < 0 then None else Some raw
+
+(* Only non-present walks are recorded: hit-path walks run once per
+   memory access and would flood the event ring with noise. The misses
+   are the ones that turn into faults and cross-ISA traffic. *)
+let note_walk_miss () =
+  if Trace.enabled () then Trace.instant ~subsys:"page_table" ~op:"walk_miss" ()
 
 let walk t io ~vaddr =
-  let result =
-    match leaf_entry_paddr t io ~vaddr with
-    | None -> None
-    | Some slot -> Pte.decode ~isa:t.isa (read_entry io slot)
-  in
-  (* Only non-present walks are recorded: hit-path walks run once per
-     memory access and would flood the event ring with noise. The misses
-     are the ones that turn into faults and cross-ISA traffic. *)
-  if result = None && Trace.enabled () then
-    Trace.instant ~subsys:"page_table" ~op:"walk_miss" ();
+  let slot = leaf_slot t io ~vaddr in
+  let result = if slot < 0 then None else Pte.decode ~isa:t.isa (read_entry io slot) in
+  if result = None then note_walk_miss ();
   result
 
-let upper_levels_present t io ~vaddr =
-  descend t io ~level:(levels - 1) ~table:t.root ~vaddr ~alloc:false <> None
+let translate t io ~vaddr ~write =
+  let slot = leaf_slot t io ~vaddr in
+  let raw = if slot < 0 then Pte.not_present else read_entry io slot in
+  let frame = Pte.frame_or_absent ~isa:t.isa raw in
+  if frame < 0 then begin
+    note_walk_miss ();
+    -1
+  end
+  else
+    let writable = Pte.is_writable ~isa:t.isa raw in
+    if write && not writable then -1 else (frame lsl 1) lor Bool.to_int writable
+
+let leaf_frame leaf = leaf lsr 1
+let leaf_writable leaf = leaf land 1 = 1
+
+let upper_levels_present t io ~vaddr = descend_from_root t io ~vaddr ~alloc:false >= 0
 
 let map t io ~vaddr ~frame flags =
-  match descend t io ~level:(levels - 1) ~table:t.root ~vaddr ~alloc:true with
-  | None -> assert false
-  | Some table ->
-      let slot = entry_addr table (index_at ~level:0 vaddr) in
-      write_entry io slot (Pte.encode ~isa:t.isa ~frame flags)
+  let table = descend_from_root t io ~vaddr ~alloc:true in
+  write_entry io (entry_addr table (index_at ~level:0 vaddr)) (Pte.encode ~isa:t.isa ~frame flags)
 
 let set_leaf_if_upper_present t io ~vaddr ~frame flags =
-  match descend t io ~level:(levels - 1) ~table:t.root ~vaddr ~alloc:false with
-  | None -> false
-  | Some table ->
-      let slot = entry_addr table (index_at ~level:0 vaddr) in
-      write_entry io slot (Pte.encode ~isa:t.isa ~frame flags);
-      true
+  let slot = leaf_slot t io ~vaddr in
+  if slot < 0 then false
+  else begin
+    write_entry io slot (Pte.encode ~isa:t.isa ~frame flags);
+    true
+  end
 
 let update_flags t io ~vaddr flags =
-  match leaf_entry_paddr t io ~vaddr with
-  | None -> false
-  | Some slot -> (
-      match Pte.decode ~isa:t.isa (read_entry io slot) with
-      | None -> false
-      | Some (frame, _) ->
-          write_entry io slot (Pte.encode ~isa:t.isa ~frame flags);
-          true)
+  let slot = leaf_slot t io ~vaddr in
+  let frame = if slot < 0 then -1 else Pte.frame_or_absent ~isa:t.isa (read_entry io slot) in
+  if frame < 0 then false
+  else begin
+    write_entry io slot (Pte.encode ~isa:t.isa ~frame flags);
+    true
+  end
 
 let unmap t io ~vaddr =
-  match leaf_entry_paddr t io ~vaddr with
-  | None -> false
-  | Some slot ->
-      let present = Pte.decode ~isa:t.isa (read_entry io slot) <> None in
-      if present then write_entry io slot Pte.not_present;
-      present
+  let slot = leaf_slot t io ~vaddr in
+  let present = slot >= 0 && Pte.frame_or_absent ~isa:t.isa (read_entry io slot) >= 0 in
+  if present then write_entry io slot Pte.not_present;
+  present
 
 let table_pages t = t.table_pages
 

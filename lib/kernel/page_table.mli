@@ -27,6 +27,16 @@ val walk : t -> io -> vaddr:int -> (int * Pte.flags) option
 (** Full software walk; charges one entry read per level traversed.
     Returns the decoded leaf (frame, flags) if present. *)
 
+val translate : t -> io -> vaddr:int -> write:bool -> int
+(** Allocation-free {!walk} for the TLB-miss path, with the same charged
+    entry reads and the same [walk_miss] trace event on a non-present
+    leaf. Returns -1 when the leaf is not present, or when [write] is set
+    and the leaf is read-only; otherwise a leaf packing the frame and the
+    write permission, read with {!leaf_frame} and {!leaf_writable}. *)
+
+val leaf_frame : int -> int
+val leaf_writable : int -> bool
+
 val walk_raw : t -> io -> vaddr:int -> int64 option
 (** Leaf PTE raw bits (present entries only). *)
 

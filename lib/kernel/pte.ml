@@ -43,31 +43,38 @@ let encode ~isa ~frame flags =
       let v = put v 55 flags.dirty in
       put v 58 flags.remote_owned
 
+(* Allocation-free decoding for the page walker, which reads one entry
+   per level: a present entry's frame or -1, and the write permission. *)
+let[@inline] frame_or_absent ~isa v =
+  if not (test v 0) then -1
+  else
+    let mask = match isa with Node_id.X86 -> frame_mask_x86 | Node_id.Arm -> frame_mask_arm in
+    Int64.to_int (Int64.shift_right_logical (Int64.logand v mask) 12)
+
+let[@inline] is_writable ~isa v =
+  match isa with Node_id.X86 -> test v 1 | Node_id.Arm -> not (test v 7)
+
 let decode ~isa v =
-  match isa with
-  | Node_id.X86 ->
-      if not (test v 0) then None
-      else
-        let frame = Int64.to_int (Int64.shift_right_logical (Int64.logand v frame_mask_x86) 12) in
-        Some
-          ( frame,
+  let frame = frame_or_absent ~isa v in
+  if frame < 0 then None
+  else
+    let writable = is_writable ~isa v in
+    Some
+      ( frame,
+        match isa with
+        | Node_id.X86 ->
             {
               present = true;
-              writable = test v 1;
+              writable;
               user = test v 2;
               accessed = test v 5;
               dirty = test v 6;
               remote_owned = test v 9;
-            } )
-  | Node_id.Arm ->
-      if not (test v 0) then None
-      else
-        let frame = Int64.to_int (Int64.shift_right_logical (Int64.logand v frame_mask_arm) 12) in
-        Some
-          ( frame,
+            }
+        | Node_id.Arm ->
             {
               present = true;
-              writable = not (test v 7);
+              writable;
               user = not (test v 6);
               accessed = test v 10;
               dirty = test v 55;
@@ -77,6 +84,5 @@ let decode ~isa v =
 let not_present = 0L
 
 let frame_of_exn ~isa v =
-  match decode ~isa v with
-  | Some (frame, _) -> frame
-  | None -> invalid_arg "Pte.frame_of_exn: entry not present"
+  let frame = frame_or_absent ~isa v in
+  if frame < 0 then invalid_arg "Pte.frame_of_exn: entry not present" else frame

@@ -25,6 +25,12 @@ val encode : isa:Stramash_sim.Node_id.t -> frame:int -> flags -> int64
 val decode : isa:Stramash_sim.Node_id.t -> int64 -> (int * flags) option
 (** [None] when the entry is not present. *)
 
+val frame_or_absent : isa:Stramash_sim.Node_id.t -> int64 -> int
+(** The frame of a present entry, or -1; allocation-free. *)
+
+val is_writable : isa:Stramash_sim.Node_id.t -> int64 -> bool
+(** The entry's write permission (meaningful for present entries). *)
+
 val not_present : int64
 (** The all-zeroes entry, not present under both encodings. *)
 

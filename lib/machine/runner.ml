@@ -96,6 +96,49 @@ let quantum_boundary machine ~count ~now =
   end;
   Quantum.fire (Machine.quantum machine) ~now
 
+(* The user-access translation recipe: TLB probe, then on a miss the
+   charged page-table walk, the OS fault handler and a retry. Each retry
+   re-enters [Tlb.translate] so the TLB hit/miss accounting is identical to
+   the pre-fast-path runner (which re-probed via [Tlb.lookup] on every pass
+   of its recursion). [Tlb.translate] returns the frame, or
+   [miss]/[not_writable]; both negatives fall to the charged walk (a write
+   hit on a read-only entry was a counted TLB hit in the reference model
+   too — the walk is how the reference discovered the permission
+   fault). *)
+let data_paddr machine proc ~node =
+  let env = Machine.env machine in
+  let tlb = Env.tlb env node in
+  let pgtable = (Process.mm_exn proc node).Process.pgtable in
+  let io = Env.pt_io env ~actor:node ~owner:node in
+  let asid = proc.Process.pid in
+  let rec translate_slow vaddr ~write ~retries =
+    let leaf = Page_table.translate pgtable io ~vaddr ~write in
+    if leaf >= 0 then begin
+      let frame = Page_table.leaf_frame leaf in
+      Tlb.insert tlb ~asid ~vpage:(Addr.page_of vaddr)
+        { Tlb.frame; writable = Page_table.leaf_writable leaf };
+      frame
+    end
+    else begin
+      if retries >= max_fault_retries then
+        failwith
+          (Printf.sprintf "fault loop at 0x%x (%s, write=%b)" vaddr (Node_id.to_string node)
+             write);
+      (* The CLI edge of the typed-error API: an unrecoverable fault
+         (segfault, OOM beyond hotplug) terminates the run as an
+         exception with the error's rendering. *)
+      (match Os.handle_fault (Machine.os machine) ~env ~proc ~node ~vaddr ~write with
+      | Ok () -> ()
+      | Error e -> raise (Stramash_fault_inject.Fault.Error e));
+      let frame = Tlb.translate tlb ~asid ~vpage:(Addr.page_of vaddr) ~write in
+      if frame >= 0 then frame else translate_slow vaddr ~write ~retries:(retries + 1)
+    end
+  in
+  fun vaddr ~write ->
+    let frame = Tlb.translate tlb ~asid ~vpage:(Addr.page_of vaddr) ~write in
+    let frame = if frame >= 0 then frame else translate_slow vaddr ~write ~retries:0 in
+    (frame lsl Addr.page_shift) + Addr.page_offset vaddr
+
 let make_memio machine proc thread ~user_stalls =
   let env = Machine.env machine in
   let node = thread.Thread.node in
@@ -104,8 +147,6 @@ let make_memio machine proc thread ~user_stalls =
   let phys = env.Env.phys in
   let meter = Env.meter env node in
   let tlb = Env.tlb env node in
-  let mm = Process.mm_exn proc node in
-  let io = Env.pt_io env ~actor:node ~owner:node in
   let l1_lat = (Cache_config.latencies (Cache_sim.config cache) node).Stramash_mem.Latency.l1 in
   let stall lat =
     if lat > l1_lat then begin
@@ -126,44 +167,9 @@ let make_memio machine proc thread ~user_stalls =
           (fun ~vaddr ~write lat ->
             Placement.sample engine ~pid:asid ~node ~vaddr ~write ~latency:lat)
   in
-  (* Bound once so the per-access address math below compiles to shifts and
-     masks with no cross-module calls. *)
   let page_shift = Addr.page_shift in
   let page_mask = Addr.page_size - 1 in
-  (* Slow translation path: charged page-table walk, then the OS fault
-     handler, then retry. Each retry re-enters [Tlb.translate] so the TLB
-     hit/miss accounting is identical to the pre-fast-path runner (which
-     re-probed via [Tlb.lookup] on every pass of its recursion). *)
-  let rec translate_slow vaddr ~write ~retries =
-    match Page_table.walk mm.Process.pgtable io ~vaddr with
-    | Some (frame, flags) when (not write) || flags.Stramash_kernel.Pte.writable ->
-        Tlb.insert tlb ~asid ~vpage:(Addr.page_of vaddr)
-          { Tlb.frame; writable = flags.Stramash_kernel.Pte.writable };
-        frame
-    | _ ->
-        if retries >= max_fault_retries then
-          failwith
-            (Printf.sprintf "fault loop at 0x%x (%s, write=%b)" vaddr
-               (Node_id.to_string node) write);
-        (* The CLI edge of the typed-error API: an unrecoverable fault
-           (segfault, OOM beyond hotplug) terminates the run as an
-           exception with the error's rendering. *)
-        (match Os.handle_fault (Machine.os machine) ~env ~proc ~node ~vaddr ~write with
-        | Ok () -> ()
-        | Error e -> raise (Stramash_fault_inject.Fault.Error e));
-        let frame = Tlb.translate tlb ~asid ~vpage:(Addr.page_of vaddr) ~write in
-        if frame >= 0 then frame else translate_slow vaddr ~write ~retries:(retries + 1)
-  in
-  (* Fused TLB probe + permission check + paddr assembly, allocation-free
-     on a hit. [Tlb.translate] returns the frame, or [miss]/[not_writable];
-     both negatives fall to the charged walk (a write hit on a read-only
-     entry was a counted TLB hit in the reference model too — the walk is
-     how the reference discovered the permission fault). *)
-  let data_paddr vaddr ~write =
-    let frame = Tlb.translate tlb ~asid ~vpage:(vaddr lsr page_shift) ~write in
-    let frame = if frame >= 0 then frame else translate_slow vaddr ~write ~retries:0 in
-    (frame lsl page_shift) + (vaddr land page_mask)
-  in
+  let data_paddr = data_paddr machine proc ~node in
   let load_slow width vaddr =
     let paddr = data_paddr vaddr ~write:false in
     let lat = Cache_sim.access cache ~node Cache_sim.Load ~paddr in
@@ -329,11 +335,10 @@ let make_memio machine proc thread ~user_stalls =
   | _ -> { Interp.load = load_slow; store = store_slow; fetch = fetch_slow }
 
 let resolve_futex_args thread (syscall : Mir.syscall) =
-  let regs = Interp.regs thread.Thread.cpu in
+  let reg = Interp.reg thread.Thread.cpu in
   match syscall with
-  | Mir.Futex_wait { uaddr; expected } ->
-      `Wait (Int64.to_int regs.(uaddr), regs.(expected))
-  | Mir.Futex_wake { uaddr; nwake } -> `Wake (Int64.to_int regs.(uaddr), nwake)
+  | Mir.Futex_wait { uaddr; expected } -> `Wait (Int64.to_int (reg uaddr), reg expected)
+  | Mir.Futex_wake { uaddr; nwake } -> `Wake (Int64.to_int (reg uaddr), nwake)
 
 (* Assemble the result from the machine's counters plus the scheduler's
    accumulators. (This replaces an earlier [collect] helper that

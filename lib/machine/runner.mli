@@ -102,6 +102,14 @@ val pp_result : Format.formatter -> result -> unit
 (** Artifact-style per-node dump (cache hit rates, memory hit classes,
     runtime) as in the paper's appendix A.5 example output. *)
 
+val data_paddr :
+  Machine.t -> Stramash_kernel.Process.t -> node:Stramash_sim.Node_id.t -> int -> write:bool -> int
+(** [data_paddr machine proc ~node] is the user-access translation the
+    runner uses on [node] (the process must already have an mm there):
+    TLB probe, then on a miss the charged page-table walk, TLB fill, OS
+    fault handler and retry. The result maps a vaddr to its paddr.
+    @raise Stramash_fault_inject.Fault.Error on an unrecoverable fault. *)
+
 val quantum_boundary : Machine.t -> count:int ref -> now:int -> unit
 (** One scheduling-quantum boundary outside [run]'s scheduler loop: in
     Paranoid mode, run the structural invariant audit on the same stride

@@ -70,6 +70,50 @@ let test_directory () =
   Alcotest.(check bool) "x86 back to I" true (not (Directory.holds d x86 ~line:7));
   Alcotest.(check bool) "arm unaffected" true (Directory.holds d arm ~line:7)
 
+(* Lines set and cleared one after another leave nothing behind: the
+   table's capacity follows the live lines, not the lines ever seen. *)
+let test_directory_capacity_tracks_live () =
+  let d = Directory.create () in
+  let start = Directory.capacity d in
+  for line = 0 to 99_999 do
+    Directory.set d x86 ~line Mesi.M;
+    Directory.set d x86 ~line Mesi.I
+  done;
+  checki "no live lines" 0 (Directory.tracked_lines d);
+  checki "capacity unchanged" start (Directory.capacity d)
+
+(* Random sets against a [Hashtbl] model: deletions that shift entries
+   back must keep every other line reachable with its states. *)
+let prop_directory_model =
+  QCheck.Test.make ~name:"directory agrees with a hashtable model" ~count:30 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create ~seed:(Int64.of_int (seed + 13)) in
+      let d = Directory.create () in
+      let model = Hashtbl.create 64 in
+      let states = [| Mesi.I; Mesi.S; Mesi.E; Mesi.M |] in
+      let lines = 1 + Rng.int rng 6000 in
+      for _ = 1 to 20_000 do
+        let node = if Rng.bool rng then x86 else arm in
+        let line = Rng.int rng lines in
+        let state = states.(Rng.int rng 4) in
+        Directory.set d node ~line state;
+        Hashtbl.replace model (node, line) state
+      done;
+      let live = ref 0 in
+      for line = 0 to lines - 1 do
+        let st node = Option.value (Hashtbl.find_opt model (node, line)) ~default:Mesi.I in
+        if not (Mesi.equal (st x86) Mesi.I && Mesi.equal (st arm) Mesi.I) then incr live;
+        List.iter
+          (fun node ->
+            if not (Mesi.equal (Directory.get d node ~line) (st node)) then
+              QCheck.Test.fail_reportf "line %d on %s: directory %c, model %c" line
+                (Node_id.to_string node)
+                (Mesi.to_char (Directory.get d node ~line))
+                (Mesi.to_char (st node)))
+          Node_id.all
+      done;
+      Directory.tracked_lines d = !live)
+
 (* ---------- Cache_sim basics ---------- *)
 
 let test_miss_then_hit () =
@@ -231,7 +275,9 @@ let test_consistency_after_atomics () =
   done;
   Alcotest.(check bool) "consistent" true (Cache_sim.check_consistency c = Ok ())
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_ruby_agreement; prop_consistency ]
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_ruby_agreement; prop_consistency; prop_directory_model ]
 
 let () =
   Alcotest.run "cache"
@@ -245,6 +291,8 @@ let () =
         [
           Alcotest.test_case "transitions" `Quick test_mesi_transitions;
           Alcotest.test_case "directory" `Quick test_directory;
+          Alcotest.test_case "directory capacity tracks live lines" `Quick
+            test_directory_capacity_tracks_live;
         ] );
       ( "cache_sim",
         [

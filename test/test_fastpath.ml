@@ -3,7 +3,10 @@
    cycle-identical* to the reference path. Every test here compares Fast
    (and Paranoid) against Reference, or exercises an invalidation edge the
    fast path must observe: TLB shootdown, MESI snoop, M-state downgrade,
-   eviction + refill at the same way. *)
+   eviction + refill at the same way. The allocation guards pin the
+   per-access path's heap traffic: cache accesses and register-only
+   interpretation allocate nothing, and a page walk stays within a few
+   words. *)
 
 module Node_id = Stramash_sim.Node_id
 module Rng = Stramash_sim.Rng
@@ -14,6 +17,13 @@ module Phys_mem = Stramash_mem.Phys_mem
 module Config = Stramash_cache.Config
 module Cache_sim = Stramash_cache.Cache_sim
 module Tlb = Stramash_kernel.Tlb
+module Kernel = Stramash_kernel.Kernel
+module Page_table = Stramash_kernel.Page_table
+module Pte = Stramash_kernel.Pte
+module Mir = Stramash_isa.Mir
+module B = Stramash_isa.Builder
+module Codegen = Stramash_isa.Codegen
+module Interp = Stramash_isa.Interp
 module Machine = Stramash_machine.Machine
 module Runner = Stramash_machine.Runner
 module W = Stramash_workloads
@@ -217,6 +227,95 @@ let prop_phys_u64_equals_generic =
       done;
       Phys_mem.self_check p = Ok ())
 
+(* ---------- allocation guards ---------- *)
+
+(* Minor-heap words [f] allocates, net of the measurement's own cost. *)
+let minor_words_of f =
+  let words g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  let overhead = words ignore in
+  int_of_float (words f -. overhead)
+
+let test_cache_access_allocates_nothing () =
+  let c = fresh Cache_sim.Fast () in
+  (* both nodes stride across 4 MiB, far past the modelled L3: fills,
+     evictions, snoops, invalidations and directory inserts and deletes *)
+  let stream () =
+    for i = 0 to 99_999 do
+      let node = if i land 1 = 0 then x86 else arm in
+      let kind = if i land 2 = 0 then Cache_sim.Load else Cache_sim.Store in
+      let paddr = i lsr 1 * (64 * 33) land ((4 lsl 20) - 1) in
+      ignore (Cache_sim.access c ~node kind ~paddr)
+    done
+  in
+  (* the first pass sizes the directory *)
+  stream ();
+  checki "words allocated by 10^5 accesses" 0 (minor_words_of stream)
+
+let test_interp_registers_allocate_nothing () =
+  let b = B.create () in
+  let acc = B.immi b 0 in
+  let f = B.fimm b 1.5 in
+  let g = B.fimm b 0.0 in
+  B.for_up_const b ~lo:0 ~hi:20_000 (fun i ->
+      let x = B.mul b i (B.immi b 3) in
+      B.add_to b acc acc (B.shri b x 1);
+      let fi = B.f_of_int b i in
+      B.fadd_to b g g (B.fdiv b (B.fmul b fi f) f);
+      let back = B.fresh b in
+      B.emit b (Mir.Int_of_f (back, g));
+      B.add_to b acc acc (B.remi b back 7));
+  let mir = B.finish b in
+  List.iter
+    (fun isa ->
+      let prog = Codegen.lower ~isa mir in
+      let memio = { Interp.load = (fun _ _ -> 0L); store = (fun _ _ _ -> ()); fetch = ignore } in
+      let cpu = Interp.create prog in
+      let words =
+        minor_words_of (fun () ->
+            match Interp.run cpu memio ~fuel:max_int with
+            | Interp.Halted -> ()
+            | Interp.Out_of_fuel | Interp.Migrate _ | Interp.Syscall _ ->
+                Alcotest.fail "loop did not halt")
+      in
+      Alcotest.(check bool)
+        (Node_id.to_string isa ^ " ran the loop")
+        true
+        (Interp.icount cpu > 200_000);
+      checki (Node_id.to_string isa ^ " words allocated by the interpreter") 0 words)
+    Node_id.all
+
+let test_page_walk_allocation_bounded () =
+  let phys = Phys_mem.create () in
+  let kernel = Kernel.boot ~node:x86 ~phys in
+  let io =
+    {
+      Page_table.phys;
+      charge_read = ignore;
+      charge_write = ignore;
+      alloc_table = (fun () -> Kernel.alloc_table_page kernel);
+    }
+  in
+  let pt = Page_table.create ~isa:x86 io in
+  let vaddr = 0x10000000 in
+  Page_table.map pt io ~vaddr ~frame:7 Pte.default_flags;
+  checki "translates to the mapped frame" 7
+    (Page_table.leaf_frame (Page_table.translate pt io ~vaddr ~write:true));
+  let walks = 1_000 in
+  let words =
+    minor_words_of (fun () ->
+        for _ = 1 to walks do
+          ignore (Page_table.translate pt io ~vaddr ~write:false)
+        done)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words per walk <= 16" (words / walks))
+    true
+    (words <= 16 * walks)
+
 (* ---------- whole-machine equivalence ---------- *)
 
 let result_fingerprint (r : Runner.result) =
@@ -306,6 +405,13 @@ let () =
         [
           Alcotest.test_case "translate matches lookup" `Quick test_translate_matches_lookup;
           Alcotest.test_case "shootdown" `Quick test_translate_sees_shootdown;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "cache access" `Quick test_cache_access_allocates_nothing;
+          Alcotest.test_case "interpreter registers" `Quick
+            test_interp_registers_allocate_nothing;
+          Alcotest.test_case "page walk" `Quick test_page_walk_allocation_bounded;
         ] );
       ( "machine",
         [

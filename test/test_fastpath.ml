@@ -137,9 +137,11 @@ let prop_mode_equivalence =
       true)
 
 let prop_paranoid_never_diverges =
-  QCheck.Test.make ~name:"paranoid mode survives random traces without divergence" ~count:10
-    QCheck.small_int (fun seed ->
-      let c = fresh Cache_sim.Paranoid () in
+  QCheck.Test.make ~name:"paranoid mode survives random traces without divergence" ~count:15
+    QCheck.(pair (int_range 0 2) small_int)
+    (fun (model_idx, seed) ->
+      let hw = List.nth Layout.all_hw_models model_idx in
+      let c = fresh Cache_sim.Paranoid ~hw () in
       let rng = Rng.create ~seed:(Int64.of_int (seed + 3)) in
       for _ = 1 to 8_000 do
         let node = if Rng.bool rng then x86 else arm in

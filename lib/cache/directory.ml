@@ -91,30 +91,48 @@ let grow t =
 let encode = function Mesi.I -> 0 | Mesi.S -> 1 | Mesi.E -> 2 | Mesi.M -> 3
 let decode = function 0 -> Mesi.I | 1 -> Mesi.S | 2 -> Mesi.E | _ -> Mesi.M
 
-let get t node ~line =
-  let s = slot_of t line in
-  if Array.unsafe_get t.keys s = line then
-    decode (Array.unsafe_get t.vals s lsr (2 * Node_id.index node) land 3)
-  else Mesi.I
+let[@inline] shift node = 2 * Node_id.index node
 
-let set t node ~line state =
-  let shift = 2 * Node_id.index node in
+let[@inline] pack node state ~other =
+  (encode state lsl shift node) lor (encode other lsl shift (Node_id.other node))
+
+let[@inline] state_in packed node = decode ((packed lsr shift node) land 3)
+
+let packed t ~line =
   let s = slot_of t line in
+  if Array.unsafe_get t.keys s = line then Array.unsafe_get t.vals s else 0
+
+(* Write [packed] for [line] at [s], the slot [slot_of] found for it. *)
+let store t s ~line packed =
   if t.keys.(s) = line then begin
-    let packed = t.vals.(s) land lnot (3 lsl shift) lor (encode state lsl shift) in
     if packed = 0 then delete t s else t.vals.(s) <- packed
   end
-  else if not (Mesi.equal state Mesi.I) then begin
+  else if packed <> 0 then begin
     t.keys.(s) <- line;
-    t.vals.(s) <- encode state lsl shift;
+    t.vals.(s) <- packed;
     t.live <- t.live + 1;
     if t.live * 4 > (t.mask + 1) * 3 then grow t
   end
 
-let holds t node ~line =
+let set_packed t ~line packed = store t (slot_of t line) ~line packed
+
+let get t node ~line = state_in (packed t ~line) node
+
+let set t node ~line state =
   let s = slot_of t line in
-  Array.unsafe_get t.keys s = line
-  && Array.unsafe_get t.vals s lsr (2 * Node_id.index node) land 3 <> 0
+  let old = if Array.unsafe_get t.keys s = line then Array.unsafe_get t.vals s else 0 in
+  store t s ~line (old land lnot (3 lsl shift node) lor (encode state lsl shift node))
+
+let take t node ~line =
+  let s = slot_of t line in
+  if Array.unsafe_get t.keys s = line then begin
+    let old = Array.unsafe_get t.vals s in
+    store t s ~line (old land lnot (3 lsl shift node));
+    decode ((old lsr shift node) land 3)
+  end
+  else Mesi.I
+
+let holds t node ~line = (packed t ~line lsr shift node) land 3 <> 0
 
 let tracked_lines t = t.live
 

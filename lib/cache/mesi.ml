@@ -2,10 +2,8 @@ type state = I | S | E | M
 
 let to_char = function I -> 'I' | S -> 'S' | E -> 'E' | M -> 'M'
 
-let equal a b =
-  match (a, b) with
-  | I, I | S, S | E, E | M, M -> true
-  | (I | S | E | M), _ -> false
+(* Constant constructors are immediates, so physical equality decides. *)
+let[@inline] equal (a : state) b = a == b
 
 type snoop = No_snoop | Snoop_data | Snoop_invalidate
 

@@ -16,8 +16,7 @@ type view = private {
   tv_hits : int ref;
 }
 (** Raw window over the direct-mapped arrays for the runner's fused
-    memio fast path, in the style of {!Level.view}: the arrays alias the
-    live TLB storage. The only mutation permitted through a view is
+    memio fast path: the arrays alias the live TLB storage. The only mutation permitted through a view is
     [incr tv_hits] after a probe that {!translate} itself would have
     counted as a usable hit — i.e. [tv_vpages.(vpage land tv_mask) =
     vpage && tv_asids.(slot) = asid] and, for writes, the entry is

@@ -203,8 +203,8 @@ let make_memio machine proc thread ~user_stalls =
      (both the TLB probe and the L0 probe are pure until their commit, so
      the fallback observes exactly the reference state). On the committed
      path the effects are, in reference order: the TLB hit count, the
-     Cache_sim L0-hit counter set, the L1 LRU touch (same way, same tick
-     advance), the meter charge (1 + 0 stall for a fetch, 0 for data at
+     Cache_sim L0-hit counter set, the L1 LRU touch ([Level.touch_way] at
+     the same way), the meter charge (1 + 0 stall for a fetch, 0 for data at
      L1 latency — [lat_l1 > l1_lat] is never true), and the [Phys_mem]
      byte access via the page-pointer cache. [make_memio] runs at every
      scheduling quantum, so a mid-run mode flip, probe registration or
@@ -236,19 +236,17 @@ let make_memio machine proc thread ~user_stalls =
               let line = ((frame lsl page_shift) + off) lsr line_shift in
               let slot = line land fp.Cache_sim.fp_slot_mask in
               let way = Array.unsafe_get fp.Cache_sim.fp_d_ways slot in
-              let v = fp.Cache_sim.fp_d_v in
+              let l1 = fp.Cache_sim.fp_l1d in
               if
                 Array.unsafe_get fp.Cache_sim.fp_d_lines slot = line
-                && Array.unsafe_get v.Level.v_tags way = line
+                && Level.tag_at l1 way = line
               then begin
                 incr tv.Tlb.tv_hits;
                 s.Cache_sim.l0_hits <- s.Cache_sim.l0_hits + 1;
                 s.Cache_sim.l1d_accesses <- s.Cache_sim.l1d_accesses + 1;
                 s.Cache_sim.mem_accesses <- s.Cache_sim.mem_accesses + 1;
                 s.Cache_sim.l1d_hits <- s.Cache_sim.l1d_hits + 1;
-                let tk = v.Level.v_tick in
-                tk := !tk + 1;
-                Array.unsafe_set v.Level.v_stamp way !tk;
+                Level.touch_way l1 way;
                 (* data stall at L1 latency is 0 cycles: no meter charge *)
                 let page = phys_page frame in
                 match width with
@@ -274,21 +272,19 @@ let make_memio machine proc thread ~user_stalls =
               let line = ((e.Tlb.frame lsl page_shift) + off) lsr line_shift in
               let slot = line land fp.Cache_sim.fp_slot_mask in
               let way = Array.unsafe_get fp.Cache_sim.fp_d_ways slot in
-              let v = fp.Cache_sim.fp_d_v in
+              let l1 = fp.Cache_sim.fp_l1d in
               if
                 e.Tlb.writable
                 && Array.unsafe_get fp.Cache_sim.fp_d_lines slot = line
                 && Array.unsafe_get fp.Cache_sim.fp_d_store_m slot
-                && Array.unsafe_get v.Level.v_tags way = line
+                && Level.tag_at l1 way = line
               then begin
                 incr tv.Tlb.tv_hits;
                 s.Cache_sim.l0_hits <- s.Cache_sim.l0_hits + 1;
                 s.Cache_sim.l1d_accesses <- s.Cache_sim.l1d_accesses + 1;
                 s.Cache_sim.mem_accesses <- s.Cache_sim.mem_accesses + 1;
                 s.Cache_sim.l1d_hits <- s.Cache_sim.l1d_hits + 1;
-                let tk = v.Level.v_tick in
-                tk := !tk + 1;
-                Array.unsafe_set v.Level.v_stamp way !tk;
+                Level.touch_way l1 way;
                 let page = phys_page e.Tlb.frame in
                 match width with
                 | 8 -> Bytes.set_int64_le page off value
@@ -312,19 +308,17 @@ let make_memio machine proc thread ~user_stalls =
               let line = ((frame lsl page_shift) + (vaddr land page_mask)) lsr line_shift in
               let slot = line land fp.Cache_sim.fp_slot_mask in
               let way = Array.unsafe_get fp.Cache_sim.fp_i_ways slot in
-              let v = fp.Cache_sim.fp_i_v in
+              let l1 = fp.Cache_sim.fp_l1i in
               if
                 Array.unsafe_get fp.Cache_sim.fp_i_lines slot = line
-                && Array.unsafe_get v.Level.v_tags way = line
+                && Level.tag_at l1 way = line
               then begin
                 incr tv.Tlb.tv_hits;
                 s.Cache_sim.l0_hits <- s.Cache_sim.l0_hits + 1;
                 s.Cache_sim.l1i_accesses <- s.Cache_sim.l1i_accesses + 1;
                 s.Cache_sim.mem_accesses <- s.Cache_sim.mem_accesses + 1;
                 s.Cache_sim.l1i_hits <- s.Cache_sim.l1i_hits + 1;
-                let tk = v.Level.v_tick in
-                tk := !tk + 1;
-                Array.unsafe_set v.Level.v_stamp way !tk;
+                Level.touch_way l1 way;
                 (* one base cycle per instruction; fetch stall at L1 is 0 *)
                 meter.Meter.cycles <- meter.Meter.cycles + 1
               end

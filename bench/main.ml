@@ -72,6 +72,11 @@ let bechamel_tests () =
   let tlb = Tlb.create () in
   Tlb.insert tlb ~asid:1 ~vpage:42 { Tlb.frame = 7; writable = true };
   let counter = ref 0 in
+  (* two nodes take turns on 64 lines: each loads the line the other holds
+     in M (both end in S), then stores to it, an S to M upgrade that
+     invalidates the other's copy *)
+  let cache_upgrade = Cache_sim.create (Cache_config.default Layout.Shared) in
+  let upgrade_step = ref 0 in
   [
     Test.make ~name:"rng-next_int64" (Staged.stage (fun () -> ignore (Rng.next_int64 rng)));
     Test.make ~name:"cache-l1-hit"
@@ -87,6 +92,14 @@ let bechamel_tests () =
            incr counter;
            let paddr = !counter * 64 land 0xFFFFFF in
            ignore (Cache_sim.access cache ~node:Node_id.X86 Cache_sim.Load ~paddr)));
+    Test.make ~name:"cache-upgrade"
+      (Staged.stage (fun () ->
+           incr upgrade_step;
+           let k = !upgrade_step in
+           let node = if k land 2 = 0 then Node_id.Arm else Node_id.X86 in
+           let kind = if k land 1 = 0 then Cache_sim.Load else Cache_sim.Store in
+           let paddr = 0x10000 + ((k lsr 2) land 63 * 64) in
+           ignore (Cache_sim.access cache_upgrade ~node kind ~paddr)));
     Test.make ~name:"phys-read_u64" (Staged.stage (fun () -> ignore (Phys_mem.read_u64 phys 8192)));
     Test.make ~name:"rbtree-find"
       (Staged.stage (fun () ->

@@ -96,10 +96,17 @@ let copy_page t ~src ~dst =
   let dp = page_for t (Addr.page_of dst) in
   Bytes.blit sp 0 dp 0 Addr.page_size
 
+(* An absent frame already reads as zeros, so only a materialised page
+   is filled; zeroing never materialises one. *)
 let zero_page t a =
   if not (Addr.is_page_aligned a) then invalid_arg "Phys_mem.zero_page: unaligned page address";
-  let p = page_for t (Addr.page_of a) in
-  Bytes.fill p 0 Addr.page_size '\000'
+  let frame = Addr.page_of a in
+  let slot = frame land (cache_slots - 1) in
+  if t.cache_frames.(slot) = frame then Bytes.fill t.cache_pages.(slot) 0 Addr.page_size '\000'
+  else
+    match Hashtbl.find_opt t.pages frame with
+    | Some p -> Bytes.fill p 0 Addr.page_size '\000'
+    | None -> ()
 
 let host_write_u64 = write_u64
 let host_write_f64 = write_f64

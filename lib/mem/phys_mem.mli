@@ -57,6 +57,8 @@ val copy_page : t -> src:Addr.paddr -> dst:Addr.paddr -> unit
 (** Copy one 4 KiB page; both addresses must be page-aligned. *)
 
 val zero_page : t -> Addr.paddr -> unit
+(** Make the page at a page-aligned address read as zeros. A frame that
+    was never touched already does, and stays unmaterialised. *)
 
 val host_write_u64 : t -> Addr.paddr -> int64 -> unit
 val host_write_f64 : t -> Addr.paddr -> float -> unit

@@ -73,7 +73,21 @@ let test_phys_copy_and_zero_page () =
   Alcotest.(check int64) "copied head" 99L (Phys_mem.read_u64 m 16384);
   Alcotest.(check int64) "copied tail" 77L (Phys_mem.read_u64 m (16384 + 4088));
   Phys_mem.zero_page m 16384;
-  Alcotest.(check int64) "zeroed" 0L (Phys_mem.read_u64 m 16384)
+  Alcotest.(check int64) "zeroed" 0L (Phys_mem.read_u64 m 16384);
+  (* a reused frame: every word of the page is cleared *)
+  for i = 0 to (Addr.page_size / 8) - 1 do
+    Phys_mem.write_u64 m (4096 + (8 * i)) (Int64.of_int (i + 1))
+  done;
+  Phys_mem.zero_page m 4096;
+  for i = 0 to (Addr.page_size / 8) - 1 do
+    Alcotest.(check int64) "reused frame zeroed" 0L (Phys_mem.read_u64 m (4096 + (8 * i)))
+  done;
+  (* an untouched frame already reads as zeros and is left absent *)
+  let touched = Phys_mem.touched_pages m in
+  Phys_mem.zero_page m (Addr.gib 5);
+  checki "untouched frame stays unmaterialised" touched (Phys_mem.touched_pages m);
+  Alcotest.(check bool) "page-pointer cache consistent" true (Phys_mem.self_check m = Ok ());
+  Alcotest.(check int64) "untouched frame reads 0" 0L (Phys_mem.read_u64 m (Addr.gib 5 + 4088))
 
 let test_phys_sparse () =
   let m = Phys_mem.create () in

@@ -14,21 +14,19 @@ type kind = Ifetch | Load | Store
 
 type mode =
   | Fast
-      (** L0 line filter answers repeat L1 hits, and the directory
-          decides a private L3's hit or miss without searching it;
-          bit- and cycle-identical to [Reference]. *)
+      (** The L0 line filter answers repeat L1 hits without the MESI
+          walk; bit- and cycle-identical to [Reference]. *)
   | Reference
-      (** Searches every level, with no L0 filter and no directory gate,
-          for baselines and cross-checks. *)
+      (** Every access takes the full walk, with no L0 filter, for
+          baselines and cross-checks. *)
   | Paranoid
-      (** The L0 filter predicts, the reference path executes, and the
-          directory gate is checked against the L3 search; any
+      (** The L0 filter predicts, the reference path executes, and any
           disagreement raises {!Divergence} at the first divergent access. *)
 
 exception Divergence of string
 (** Raised in [Paranoid] mode when the fast path would have produced a
-    different latency than the reference path, or the directory and the
-    L3 search disagree on a private L3's hit. *)
+    different latency than the reference path. The runner's paranoid
+    audits also raise it when {!check_consistency} fails. *)
 
 val create : Config.t -> t
 val config : t -> Config.t
@@ -115,7 +113,7 @@ type fast_path = {
   fp_l1i : Level.t;  (** the L1I ([Level.tag_at] hit proof + [Level.touch_way]) *)
   fp_d_lines : int array;
   fp_d_ways : int array;
-  fp_d_store_m : bool array;  (** data-port L0: directory state known M *)
+  fp_d_store_m : bool array;  (** data-port L0: this node's state known M *)
   fp_l1d : Level.t;
 }
 
@@ -124,14 +122,6 @@ val fast_path : t -> node:Stramash_sim.Node_id.t -> fast_path option
     mode is [Fast] and no probes are registered. Callers must re-request
     it at least every scheduling quantum so mode flips and probe
     registrations take effect. *)
-
-val fastpath_stats : t -> (string * int) list
-(** Per-node L0 fast-path hit/miss counters (["x86.l0_hits"], ...). Kept
-    out of {!stats} so model-metric registries stay bit-identical between
-    [Fast] and [Reference] runs. *)
-
-val l0_hit_rate : t -> Stramash_sim.Node_id.t -> float
-(** Fraction of accesses answered by the L0 line filter; 0 if unused. *)
 
 val add_probe : t -> (Stramash_sim.Node_id.t -> kind -> int -> unit) -> unit
 (** Append an observation hook fired on every {!access}; hooks chain in
@@ -152,12 +142,11 @@ val set_writeback_hook : t -> (Stramash_sim.Node_id.t -> line:int -> unit) optio
 (** Clear ([None]) or reset ([Some f]) the write-back hook chain, as with
     {!set_probe}. *)
 
-val reset_stats : t -> unit
-
 val check_consistency : t -> (unit, string) result
-(** Validate the model's structural invariants: the hierarchy is inclusive
-    (L1 contents are in L2, L2's in the private L3), the directory agrees
-    with presence at each node's coherence point in both directions (a
-    non-[I] state means the line is held there, and every line held there
-    has a non-[I] state), and no line is writable ([E]/[M]) on both nodes
-    at once. Used by the property tests and the runner's paranoid audits. *)
+(** Validate the model's structural invariants. Each node keeps its MESI
+    state per way of its coherence point (the private L3, or the L2 when
+    the L3 is shared): every valid way there must hold a non-[I] state
+    and every invalid way [I]. No line may be writable ([E]/[M]) on both
+    nodes at once. The hierarchy must be inclusive: every resident L1
+    line is in L2, and every L2 line in the private L3. Used by the
+    property tests and the runner's paranoid audits. *)

@@ -19,6 +19,7 @@ type t = {
   links : int array;
   lru : int array;
   mutable occupied : int;
+  mutable last_fill : int; (* index the latest [insert_evict] filled *)
 }
 
 let create (g : Config.geometry) =
@@ -35,6 +36,7 @@ let create (g : Config.geometry) =
     links = Array.make (sets * ways) 0;
     lru = Array.make sets (((1 lsl ways) - 1) lsl 8);
     occupied = 0;
+    last_fill = -1;
   }
 
 let set_of t line = line land (t.sets - 1)
@@ -43,7 +45,7 @@ let set_of t line = line land (t.sets - 1)
    the unsafe reads are in bounds by construction. A [while] loop rather
    than a local recursive function, which would allocate a closure per
    lookup. *)
-let find t line =
+let find t ~line =
   let tags = t.tags in
   let i = ref (set_of t line lsl t.way_shift) in
   let stop = !i + t.ways in
@@ -109,7 +111,7 @@ let[@inline] touch_way t idx =
 let[@inline] tag_at t idx = t.tags.(idx)
 
 let probe t ~line =
-  let idx = find t line in
+  let idx = find t ~line in
   if idx >= 0 then begin
     touch_way t idx;
     true
@@ -121,11 +123,11 @@ let probe t ~line =
    scan. Tags are unique within a set (insert asserts absence), so the
    reported index is the one [find] would return. *)
 let probe_way t ~line =
-  let idx = find t line in
+  let idx = find t ~line in
   if idx >= 0 then touch_way t idx;
   idx
 
-let contains t ~line = find t line >= 0
+let contains t ~line = find t ~line >= 0
 
 (* Allocation-free insert on the miss-fill hot path: returns the evicted
    line, or -1 when an invalid way absorbed the fill. The line must be
@@ -145,6 +147,7 @@ let insert_evict t ~line =
     else link_before_head links base (s land 0xFF) w;
     Array.unsafe_set t.lru set (w lor ((invalid lxor (1 lsl w)) lsl 8));
     t.occupied <- t.occupied + 1;
+    t.last_fill <- base + w;
     -1
   end
   else begin
@@ -152,29 +155,34 @@ let insert_evict t ~line =
     let evicted = Array.unsafe_get t.tags (base + victim) in
     Array.unsafe_set t.tags (base + victim) line;
     Array.unsafe_set t.lru set victim;
+    t.last_fill <- base + victim;
     evicted
   end
 
+let last_fill t = t.last_fill
+
 let insert t ~line =
-  assert (find t line < 0);
+  assert (find t ~line < 0);
   match insert_evict t ~line with -1 -> None | evicted -> Some evicted
 
+(* The checked read of [lru] rejects any index outside the tag store, so
+   the unsafe accesses after it are in bounds. *)
+let invalidate_at t idx =
+  let set = idx lsr t.way_shift in
+  let base = set lsl t.way_shift and w = idx land (t.ways - 1) in
+  let s = t.lru.(set) in
+  let l = Array.unsafe_get t.links idx in
+  (* a sole way leaves an empty list, whose head field is stale *)
+  if prev l <> w then unlink t.links base w;
+  let head = if s land 0xFF = w then next l else s land 0xFF in
+  Array.unsafe_set t.lru set (head lor ((s lor (1 lsl (w + 8))) land lnot 0xFF));
+  t.tags.(idx) <- -1;
+  t.occupied <- t.occupied - 1
+
 let invalidate t ~line =
-  let idx = find t line in
-  if idx >= 0 then begin
-    let set = idx lsr t.way_shift in
-    let base = set lsl t.way_shift and w = idx land (t.ways - 1) in
-    let s = Array.unsafe_get t.lru set in
-    let l = Array.unsafe_get t.links idx in
-    (* a sole way leaves an empty list, whose head field is stale *)
-    if prev l <> w then unlink t.links base w;
-    let head = if s land 0xFF = w then next l else s land 0xFF in
-    Array.unsafe_set t.lru set (head lor ((s lor (1 lsl (w + 8))) land lnot 0xFF));
-    t.tags.(idx) <- -1;
-    t.occupied <- t.occupied - 1;
-    true
-  end
-  else false
+  let idx = find t ~line in
+  if idx >= 0 then invalidate_at t idx;
+  idx >= 0
 
 let capacity_lines t = t.sets * t.ways
 let occupied t = t.occupied

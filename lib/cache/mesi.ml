@@ -23,7 +23,7 @@ let on_upgrade ~other =
   match other with
   | S -> (M, I, Snoop_invalidate)
   | M | E ->
-      (* Cannot happen in a consistent directory (we hold S, so the other
+      (* Cannot happen in a consistent model (we hold S, so the other
          node cannot hold E/M); treated as an invalidating upgrade. *)
       (M, I, Snoop_invalidate)
   | I -> (M, I, No_snoop)

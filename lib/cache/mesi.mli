@@ -1,6 +1,6 @@
 (** MESI coherence states and the two-node transition rules used by both
-    cache models (pure functions; the stateful directory lives in
-    {!Directory}). *)
+    cache models (pure functions; {!Cache_sim} keeps each node's states
+    beside the tags of its coherence point). *)
 
 type state = I | S | E | M
 

@@ -3,8 +3,8 @@
 
     Deliberately implemented differently from {!Cache_sim} — tree-PLRU
     replacement (as Ruby's caches use) instead of exact LRU, a strictly
-    inclusive fill path, an owner-bitmask coherence filter instead of a
-    MESI directory, and no timing — so that comparing per-level hit rates
+    inclusive fill path, an owner-bitmask coherence filter instead of
+    per-way MESI states, and no timing — so that comparing per-level hit rates
     between the two models is a meaningful cross-validation, as the
     paper's comparison against gem5 is. *)
 

@@ -486,10 +486,10 @@ let run_scheduler ?on_recovery machine items ~fuel =
     end
   in
   (* Paranoid mode: beyond the per-access cross-check inside Cache_sim,
-     audit the structural invariants (cache inclusion/directory agreement,
-     phys page-pointer cache) at scheduling-quantum boundaries. The audit
-     walks every tracked line, so it runs on a deterministic stride rather
-     than every quantum. *)
+     audit the structural invariants (cache inclusion and per-way MESI
+     states, phys page-pointer cache) at scheduling-quantum boundaries.
+     The audit walks every way of every cache level, so it runs on a
+     deterministic stride rather than every quantum. *)
   let paranoid = Cache_sim.mode env.Env.cache = Cache_sim.Paranoid in
   let quanta = ref 0 in
   let audit () =

@@ -10,7 +10,6 @@ module Latency = Stramash_mem.Latency
 module Config = Stramash_cache.Config
 module Level = Stramash_cache.Level
 module Mesi = Stramash_cache.Mesi
-module Directory = Stramash_cache.Directory
 module Cxl = Stramash_cache.Cxl
 module Cache_sim = Stramash_cache.Cache_sim
 module Ruby_ref = Stramash_cache.Ruby_ref
@@ -99,6 +98,7 @@ module Lru_oracle = struct
     if idx >= 0 then touch t idx;
     idx
 
+  (* the evicted line (-1 if none) and the index filled *)
   let insert_evict t line =
     let base = line land (t.sets - 1) * t.ways in
     let victim = ref (-1) in
@@ -114,7 +114,7 @@ module Lru_oracle = struct
     let evicted = t.tags.(!victim) in
     t.tags.(!victim) <- line;
     touch t !victim;
-    evicted
+    (evicted, !victim)
 
   let invalidate t line =
     let idx = find t line in
@@ -140,9 +140,16 @@ let prop_level_matches_lru_oracle =
         let line = Rng.int rng lines in
         (match Rng.int rng 4 with
         | 0 ->
-            let want = Lru_oracle.probe_way o line >= 0 in
-            let got = Level.probe l ~line in
-            if got <> want then fail "probe" line "level %b, oracle %b" got want
+            if Rng.bool rng then begin
+              let want = Lru_oracle.probe_way o line >= 0 in
+              let got = Level.probe l ~line in
+              if got <> want then fail "probe" line "level %b, oracle %b" got want
+            end
+            else begin
+              let want = Lru_oracle.find o line in
+              let got = Level.find l ~line in
+              if got <> want then fail "find" line "level %d, oracle %d" got want
+            end
         | 1 ->
             let want = Lru_oracle.probe_way o line in
             let got = Level.probe_way l ~line in
@@ -154,14 +161,20 @@ let prop_level_matches_lru_oracle =
         | 2 ->
             if Lru_oracle.find o line < 0 then begin
               if Level.probe l ~line then fail "probe before fill" line "level hit";
-              let want = Lru_oracle.insert_evict o line in
+              let want, want_idx = Lru_oracle.insert_evict o line in
               let got = Level.insert_evict l ~line in
-              if got <> want then fail "insert_evict" line "level evicted %d, oracle %d" got want
+              if got <> want then fail "insert_evict" line "level evicted %d, oracle %d" got want;
+              if Level.last_fill l <> want_idx then
+                fail "last_fill" line "level %d, oracle %d" (Level.last_fill l) want_idx
             end
         | _ ->
+            let idx = Lru_oracle.find o line in
             let want = Lru_oracle.invalidate o line in
-            let got = Level.invalidate l ~line in
-            if got <> want then fail "invalidate" line "level %b, oracle %b" got want);
+            if idx >= 0 && Rng.bool rng then Level.invalidate_at l idx
+            else begin
+              let got = Level.invalidate l ~line in
+              if got <> want then fail "invalidate" line "level %b, oracle %b" got want
+            end);
         for i = 0 to (sets * ways) - 1 do
           if Level.tag_at l i <> o.Lru_oracle.tags.(i) then
             fail "after" line "index %d holds %d, oracle %d" i (Level.tag_at l i)
@@ -172,7 +185,7 @@ let prop_level_matches_lru_oracle =
       done;
       true)
 
-(* ---------- Mesi / Directory ---------- *)
+(* ---------- Mesi ---------- *)
 
 let test_mesi_transitions () =
   Alcotest.(check bool) "read vs M snoops data" true (Mesi.on_read ~other:Mesi.M = (Mesi.S, Mesi.S, Mesi.Snoop_data));
@@ -180,100 +193,6 @@ let test_mesi_transitions () =
   Alcotest.(check bool) "write vs S invalidates" true
     (Mesi.on_write ~other:Mesi.S = (Mesi.M, Mesi.I, Mesi.Snoop_invalidate));
   Alcotest.(check bool) "upgrade vs I silent" true (Mesi.on_upgrade ~other:Mesi.I = (Mesi.M, Mesi.I, Mesi.No_snoop))
-
-let test_directory () =
-  let d = Directory.create () in
-  Alcotest.(check bool) "initially I" true (Directory.get d x86 ~line:7 = Mesi.I);
-  Directory.set d x86 ~line:7 Mesi.M;
-  Directory.set d arm ~line:7 Mesi.S;
-  Alcotest.(check bool) "x86 M" true (Directory.get d x86 ~line:7 = Mesi.M);
-  Alcotest.(check bool) "arm S" true (Directory.get d arm ~line:7 = Mesi.S);
-  Directory.set d x86 ~line:7 Mesi.I;
-  Alcotest.(check bool) "x86 back to I" true (not (Directory.holds d x86 ~line:7));
-  Alcotest.(check bool) "arm unaffected" true (Directory.holds d arm ~line:7)
-
-let test_directory_packed_take () =
-  let d = Directory.create () in
-  let state = Alcotest.testable (fun ppf s -> Fmt.char ppf (Mesi.to_char s)) Mesi.equal in
-  checki "untracked line packs to 0" 0 (Directory.packed d ~line:9);
-  Directory.set_packed d ~line:9 (Directory.pack x86 Mesi.M ~other:Mesi.I);
-  let p = Directory.packed d ~line:9 in
-  Alcotest.check state "x86 from packed" Mesi.M (Directory.state_in p x86);
-  Alcotest.check state "arm from packed" Mesi.I (Directory.state_in p arm);
-  Alcotest.check state "pack is symmetric" Mesi.M
-    (Directory.state_in (Directory.pack arm Mesi.S ~other:Mesi.M) x86);
-  Directory.set d arm ~line:9 Mesi.S;
-  Alcotest.check state "take returns the previous state" Mesi.M (Directory.take d x86 ~line:9);
-  Alcotest.check state "taken node is I" Mesi.I (Directory.get d x86 ~line:9);
-  Alcotest.check state "other node kept" Mesi.S (Directory.get d arm ~line:9);
-  Alcotest.check state "take of an untracked line" Mesi.I (Directory.take d x86 ~line:10);
-  Alcotest.check state "last take returns S" Mesi.S (Directory.take d arm ~line:9);
-  checki "both I stops tracking" 0 (Directory.tracked_lines d);
-  Directory.set_packed d ~line:11 (Directory.pack arm Mesi.E ~other:Mesi.I);
-  Directory.set_packed d ~line:11 0;
-  checki "set_packed 0 stops tracking" 0 (Directory.tracked_lines d)
-
-(* Lines set and cleared one after another leave nothing behind: the
-   table's capacity follows the live lines, not the lines ever seen. *)
-let test_directory_capacity_tracks_live () =
-  let d = Directory.create () in
-  let start = Directory.capacity d in
-  for line = 0 to 99_999 do
-    Directory.set d x86 ~line Mesi.M;
-    Directory.set d x86 ~line Mesi.I
-  done;
-  checki "no live lines" 0 (Directory.tracked_lines d);
-  checki "capacity unchanged" start (Directory.capacity d)
-
-(* Random [set], [set_packed] and [take] against a [Hashtbl] model:
-   deletions that shift entries back must keep every other line reachable
-   with its states. *)
-let prop_directory_model =
-  QCheck.Test.make ~name:"directory agrees with a hashtable model" ~count:30 QCheck.small_int
-    (fun seed ->
-      let rng = Rng.create ~seed:(Int64.of_int (seed + 13)) in
-      let d = Directory.create () in
-      let model = Hashtbl.create 64 in
-      let states = [| Mesi.I; Mesi.S; Mesi.E; Mesi.M |] in
-      let lines = 1 + Rng.int rng 6000 in
-      let model_state node line =
-        Option.value (Hashtbl.find_opt model (node, line)) ~default:Mesi.I
-      in
-      for _ = 1 to 20_000 do
-        let node = if Rng.bool rng then x86 else arm in
-        let line = Rng.int rng lines in
-        let state = states.(Rng.int rng 4) in
-        match Rng.int rng 3 with
-        | 0 ->
-            Directory.set d node ~line state;
-            Hashtbl.replace model (node, line) state
-        | 1 ->
-            let other = states.(Rng.int rng 4) in
-            Directory.set_packed d ~line (Directory.pack node state ~other);
-            Hashtbl.replace model (node, line) state;
-            Hashtbl.replace model (Node_id.other node, line) other
-        | _ ->
-            let want = model_state node line in
-            let got = Directory.take d node ~line in
-            if not (Mesi.equal got want) then
-              QCheck.Test.fail_reportf "take line %d on %s: directory %c, model %c" line
-                (Node_id.to_string node) (Mesi.to_char got) (Mesi.to_char want);
-            Hashtbl.replace model (node, line) Mesi.I
-      done;
-      let live = ref 0 in
-      for line = 0 to lines - 1 do
-        let st node = model_state node line in
-        if not (Mesi.equal (st x86) Mesi.I && Mesi.equal (st arm) Mesi.I) then incr live;
-        List.iter
-          (fun node ->
-            if not (Mesi.equal (Directory.get d node ~line) (st node)) then
-              QCheck.Test.fail_reportf "line %d on %s: directory %c, model %c" line
-                (Node_id.to_string node)
-                (Mesi.to_char (Directory.get d node ~line))
-                (Mesi.to_char (st node)))
-          Node_id.all
-      done;
-      Directory.tracked_lines d = !live)
 
 (* ---------- Cache_sim basics ---------- *)
 
@@ -438,7 +357,7 @@ let test_consistency_after_atomics () =
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_ruby_agreement; prop_consistency; prop_directory_model; prop_level_matches_lru_oracle ]
+    [ prop_ruby_agreement; prop_consistency; prop_level_matches_lru_oracle ]
 
 let () =
   Alcotest.run "cache"
@@ -453,10 +372,6 @@ let () =
       ( "mesi",
         [
           Alcotest.test_case "transitions" `Quick test_mesi_transitions;
-          Alcotest.test_case "directory" `Quick test_directory;
-          Alcotest.test_case "directory packed and take" `Quick test_directory_packed_take;
-          Alcotest.test_case "directory capacity tracks live lines" `Quick
-            test_directory_capacity_tracks_live;
         ] );
       ( "cache_sim",
         [

@@ -21,8 +21,6 @@ type t = {
   cxl : Cxl.t;
 }
 
-let scale_factor = 16
-
 let default hw_model =
   {
     l1i = { size = Addr.kib 8; ways = 4 };
@@ -41,8 +39,3 @@ let with_l3_bytes t size = { t with l3 = { t.l3 with size } }
 let latencies t = function
   | Stramash_sim.Node_id.X86 -> t.x86_lat
   | Stramash_sim.Node_id.Arm -> t.arm_lat
-
-let l3_paper_label t =
-  let paper_bytes = t.l3.size * scale_factor in
-  if paper_bytes >= Addr.mib 1 then Printf.sprintf "%dMB" (paper_bytes / Addr.mib 1)
-  else Printf.sprintf "%dKB" (paper_bytes / Addr.kib 1)

@@ -31,6 +31,3 @@ val with_l3_bytes : t -> int -> t
 (** Fig. 10's cache-size sweep: replace the L3 capacity, in bytes. *)
 
 val latencies : t -> Stramash_sim.Node_id.t -> Stramash_mem.Latency.t
-
-val l3_paper_label : t -> string
-(** Paper-equivalent L3 label for reports ("4MB" for the scaled 256 KB). *)

@@ -13,5 +13,3 @@ let paddr_of_kernel_vaddr vaddr =
   if not (is_fused_pointer vaddr) then
     invalid_arg (Printf.sprintf "Fused_vas: 0x%x outside the fused window" vaddr);
   vaddr - direct_map_base
-
-let randomized_layout_disabled = true

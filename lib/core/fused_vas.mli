@@ -8,15 +8,8 @@
     the same [direct_map_base], so fused pointers are interchangeable and
     accessor functions need no pointer arithmetic beyond this mapping. *)
 
-val direct_map_base : int
-(** Base of the shared kernel direct map (all 8 GB of physical memory). *)
-
 val kernel_vaddr_of_paddr : int -> int
 val paddr_of_kernel_vaddr : int -> int
 (** Raises [Invalid_argument] for pointers outside the fused window. *)
 
 val is_fused_pointer : int -> bool
-
-val randomized_layout_disabled : bool
-(** The paper disables structure-layout randomisation so shared structs
-    decode identically on both kernels; we record the same invariant. *)

@@ -32,8 +32,6 @@ val check_pressure : t -> Stramash_sim.Node_id.t -> bool
 (** Apply the 70 % policy: request a block if this kernel's pressure
     exceeds the threshold. Returns whether a block was granted. *)
 
-val pressure_threshold : float
-
 (** {2 Crash-stop handling} *)
 
 val on_node_death :

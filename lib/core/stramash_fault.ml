@@ -50,7 +50,6 @@ type t = {
   mutable remote_walks : int;
   mutable shared_mappings : int;
   mutable degraded_walks : int;
-  mutable gray_fallbacks : int;
   mutable write_hook : (proc:Process.t -> node:Node_id.t -> vaddr:int -> bool) option;
       (* Consulted when a write faults on a page that is mapped but
          read-only: the placement engine collapses its replica there and
@@ -71,7 +70,6 @@ let create ?inject ?global_alloc env msg =
     remote_walks = 0;
     shared_mappings = 0;
     degraded_walks = 0;
-    gray_fallbacks = 0;
     write_hook = None;
   }
 
@@ -90,7 +88,6 @@ let fallback_pages t = t.fallback_pages
 let remote_walks t = t.remote_walks
 let shared_mappings t = t.shared_mappings
 let degraded_walks t = t.degraded_walks
-let gray_fallbacks t = t.gray_fallbacks
 let chaos_armed t = match t.inject with Some p -> Plan.chaos_armed p | None -> false
 let plan_note t f = match t.inject with Some p -> f p | None -> ()
 let downtime_of t node = t.downs.(Node_id.index node)
@@ -286,7 +283,6 @@ let gray_fallback_untraced t ~proc ~node ~(mm : Process.mm) ~vaddr ~writable =
   | Error _ as e -> e
   | Ok frame ->
       map_local t ~node ~mm ~vaddr ~frame ~writable;
-      t.gray_fallbacks <- t.gray_fallbacks + 1;
       plan_note t Plan.note_breaker_fallback;
       Ok ()
 

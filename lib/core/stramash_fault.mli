@@ -109,10 +109,6 @@ val node_down : t -> Stramash_sim.Node_id.t -> bool
 val degraded_walks : t -> int
 (** Faults served in degraded (message-walk) mode. *)
 
-val gray_fallbacks : t -> int
-(** Faults the circuit breaker diverted to the message-walk path while
-    the origin was alive but unhealthy. *)
-
 val on_node_death :
   t ->
   procs:Stramash_kernel.Process.t list ->

@@ -11,10 +11,9 @@ module Page_table = Stramash_kernel.Page_table
 module Ipi = Stramash_interconnect.Ipi
 module Trace = Stramash_obs.Trace
 
-type t = { env : Env.t; faults : Stramash_fault.t; mutable ipis : int }
+type t = { env : Env.t; faults : Stramash_fault.t }
 
-let create env faults = { env; faults; ipis = 0 }
-let ipis_sent t = t.ipis
+let create env faults = { env; faults }
 
 (* Waiters normally queue in the origin kernel's bucket. While the origin
    is crash-stopped its buckets are unreachable, so futex traffic homes on
@@ -145,7 +144,6 @@ let wake_acting t ~actor ~proc ~threads ~uaddr ~nwake =
       | Some th
         when (not (Node_id.equal th.Thread.node node))
              && Env.node_alive t.env th.Thread.node ->
-          t.ipis <- t.ipis + 1;
           Meter.add (Env.meter t.env node) (Ipi.cross_isa_ipi_cycles / 8);
           (* triggering the IPI is cheap for the sender; delivery latency
              lands on the waiter via the machine's wake logic *)

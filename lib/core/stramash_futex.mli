@@ -45,5 +45,3 @@ val wake_acting :
   uaddr:int ->
   nwake:int ->
   int list
-
-val ipis_sent : t -> int

@@ -83,7 +83,6 @@ let score_of p = (1.0 -. p.fail_ewma) *. (1.0 /. Float.max 1.0 p.ratio_ewma)
 
 let score t ~peer:node = score_of (peer t node)
 let breaker_state t ~peer:node = (peer t node).state
-let msg_rtt_ewma t ~peer:node = (peer t node).msg_rtt_ewma
 
 (* The re-admission bar sits strictly above the trip bar: a peer that has
    barely recovered to trip_score is not re-trusted (hysteresis). *)

@@ -19,8 +19,6 @@
 
 type state = Closed | Open | Half_open
 
-val state_to_string : state -> string
-
 type params = {
   alpha : float;  (** EWMA smoothing factor, must lie in (0, 1] *)
   trip_score : float;
@@ -39,7 +37,6 @@ val create :
 
 val score : t -> peer:Stramash_sim.Node_id.t -> float
 val breaker_state : t -> peer:Stramash_sim.Node_id.t -> state
-val msg_rtt_ewma : t -> peer:Stramash_sim.Node_id.t -> float
 val readmit_score : t -> float
 
 val observe_msg_rtt :

@@ -91,8 +91,6 @@ type tick_summary = {
   ts_unrepaired : int;
 }
 
-let empty_summary = { ts_flips = 0; ts_scanned = 0; ts_repairs = []; ts_unrepaired = 0 }
-
 type t = {
   rng : Rng.t;
   metrics : Metrics.registry;

@@ -50,8 +50,6 @@ type tick_summary = {
   ts_unrepaired : int;  (** detected corruptions with no clean twin *)
 }
 
-val empty_summary : tick_summary
-
 val create :
   rng:Stramash_sim.Rng.t ->
   metrics:Stramash_sim.Metrics.registry ->

@@ -408,7 +408,6 @@ let create ~seed config =
 
 let config t = t.config
 let metrics t = t.metrics
-let recovery_histogram t = t.recovery
 
 (* Guard on the rate before drawing: a zero-rate site consumes no RNG
    state, so enabling faults at one site leaves the others' decision
@@ -532,9 +531,6 @@ let note_watchdog_detection t node =
   mark "watchdog_detect"
 
 let note_lock_break t = Metrics.incr t.metrics "chaos.lock_breaks"
-let note_stale_token t =
-  Metrics.incr t.metrics "chaos.stale_tokens";
-  mark "stale_token"
 let note_waiter_parked t = Metrics.incr t.metrics "chaos.waiters_parked"
 let note_waiter_requeued t = Metrics.incr t.metrics "chaos.waiters_requeued"
 let note_blocks_reclaimed t n = Metrics.add t.metrics "chaos.blocks_reclaimed" n

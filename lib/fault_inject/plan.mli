@@ -132,7 +132,6 @@ val create : seed:int64 -> config -> t
 
 val config : t -> config
 val metrics : t -> Stramash_sim.Metrics.registry
-val recovery_histogram : t -> Stramash_sim.Metrics.Histogram.t
 
 (** {2 Message layer} *)
 
@@ -195,7 +194,6 @@ val note_node_death : t -> Stramash_sim.Node_id.t -> unit
 val note_node_restart : t -> Stramash_sim.Node_id.t -> unit
 val note_watchdog_detection : t -> Stramash_sim.Node_id.t -> unit
 val note_lock_break : t -> unit
-val note_stale_token : t -> unit
 val note_waiter_parked : t -> unit
 val note_waiter_requeued : t -> unit
 val note_blocks_reclaimed : t -> int -> unit
@@ -219,10 +217,6 @@ val gray_armed : t -> bool
 val health : t -> Health.t option
 (** The health tracker; [Some] iff {!gray_armed} and
     [config.health_enabled]. *)
-
-val slow_factor : t -> node:Stramash_sim.Node_id.t -> now:int -> float
-(** Service-time inflation factor for work served by [node] at [now];
-    1.0 outside every window. *)
 
 val inflate : t -> node:Stramash_sim.Node_id.t -> now:int -> cycles:int -> int
 (** Extra cycles (beyond [cycles]) the current slow-down window adds to

@@ -23,9 +23,6 @@ type run_summary = {
   replicated : int;
 }
 
-val fig9_data : ?small:bool -> unit -> run_summary list
-(** All Fig. 9 runs; [small] uses reduced classes (used by tests). *)
-
 val benchmarks : small:bool -> (string * Stramash_machine.Spec.t) list
 (** The NPB specs the sweep runs ([small] = reduced classes) — shared with
     the fast-path equivalence tests and the perf-bench harness. *)

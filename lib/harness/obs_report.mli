@@ -1,8 +1,6 @@
 (** Render a tracer's cycle-attribution table through {!Report} — the
     Fig. 9/10-style "where did the cycles go" breakdown. *)
 
-val attribution_report : Stramash_obs.Trace.t -> Report.t
-
 val blame_report : ?top:int -> Stramash_obs.Causal.blame_row list -> Report.t
 (** Critical-path blame table; [top] keeps only the first N rows
     (0 = all). *)

@@ -12,15 +12,6 @@ val chaos_inject :
     per island at seeded jitter around 1/3 and 2/3 of the expected run
     span, both with restarts (serve rejects restart-less kills). *)
 
-val gray_inject :
-  seed:int64 -> span:int -> factor:float -> Stramash_fault_inject.Plan.config
-(** One slow-down window on the serving island covering the middle third
-    of the expected span. *)
-
-val scrub_inject : Stramash_fault_inject.Plan.config
-(** Stale-PTE corruption on the remote-walker install path plus the
-    background scrubber — the corruption composition. *)
-
 val campaign :
   Format.formatter ->
   ?seed:int64 ->

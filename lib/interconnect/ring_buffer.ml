@@ -44,8 +44,6 @@ let slots_for t payload_bytes =
   (header_bytes + data + t.slot_bytes - 1) / t.slot_bytes
 
 let length t = Queue.length t.queue
-let capacity_slots t = t.slots
-let bytes_reserved t = (2 * Addr.line_size) + (t.slots * t.slot_bytes)
 
 let send t ~payload_bytes value =
   let need = slots_for t payload_bytes in

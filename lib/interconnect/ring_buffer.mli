@@ -33,7 +33,3 @@ val recv : 'a t -> (int * 'a) option
 
 val length : 'a t -> int
 (** Messages currently queued. *)
-
-val capacity_slots : 'a t -> int
-val bytes_reserved : 'a t -> int
-(** Total physical footprint, control lines included. *)

@@ -86,8 +86,6 @@ let bin_to t op d a b = emit t (Mir.Bin (op, d, a, b))
 let add_to t d a b = emit t (Mir.Bin (Mir.Add, d, a, b))
 let addi_to t d a v = emit t (Mir.Bini (Mir.Add, d, a, Int64.of_int v))
 let fadd_to t d a b = emit t (Mir.Fbin (Mir.Fadd, d, a, b))
-let fmul_to t d a b = emit t (Mir.Fbin (Mir.Fmul, d, a, b))
-let load_to t w d a = emit t (Mir.Load (w, d, a))
 let store t w s a = emit t (Mir.Store (w, s, a))
 
 let jump t l = emit t (Mir.Jump l)

@@ -19,7 +19,6 @@ val immi : t -> int -> Mir.reg
 val fimm : t -> float -> Mir.reg
 val mov : t -> Mir.reg -> Mir.reg
 val bin : t -> Mir.binop -> Mir.reg -> Mir.reg -> Mir.reg
-val bini : t -> Mir.binop -> Mir.reg -> int -> Mir.reg
 val add : t -> Mir.reg -> Mir.reg -> Mir.reg
 val addi : t -> Mir.reg -> int -> Mir.reg
 val sub : t -> Mir.reg -> Mir.reg -> Mir.reg
@@ -43,8 +42,6 @@ val bin_to : t -> Mir.binop -> Mir.reg -> Mir.reg -> Mir.reg -> unit
 val add_to : t -> Mir.reg -> Mir.reg -> Mir.reg -> unit
 val addi_to : t -> Mir.reg -> Mir.reg -> int -> unit
 val fadd_to : t -> Mir.reg -> Mir.reg -> Mir.reg -> unit
-val fmul_to : t -> Mir.reg -> Mir.reg -> Mir.reg -> unit
-val load_to : t -> Mir.width -> Mir.reg -> Mir.addr -> unit
 val store : t -> Mir.width -> Mir.reg -> Mir.addr -> unit
 
 (* Control flow. *)

@@ -74,8 +74,6 @@ let icount t = t.icount
 let reg t r = Bytes.get_int64_ne t.register_file (r * 8)
 let set_reg t r v = Bytes.set_int64_ne t.register_file (r * 8) v
 
-let halted t = t.halted
-
 (* The evaluators are inlined into the dispatch loop, where operands come
    straight from and results go straight to the register file: inlined,
    no [int64] is ever boxed. *)

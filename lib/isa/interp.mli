@@ -38,5 +38,3 @@ val set_reg : t -> Mir.reg -> int64 -> unit
 
 val run : t -> memio -> fuel:int -> outcome
 (** Execute at most [fuel] instructions. *)
-
-val halted : t -> bool

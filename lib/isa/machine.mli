@@ -46,8 +46,6 @@ val op_bytes : Stramash_sim.Node_id.t -> mop -> int
 val find_migrate_pc : program -> int -> int
 (** Op index of a migration point; raises [Not_found]. *)
 
-val pp_mop : Format.formatter -> mop -> unit
-
 val pp_program : Format.formatter -> program -> unit
 (** Disassembly listing: op index, text-segment byte offset, rendered
     instruction; migration points are annotated. *)

@@ -59,49 +59,6 @@ type instr =
 
 type program = { code : instr array; nregs : int; nlabels : int }
 
-let binop_name = function
-  | Add -> "add"
-  | Sub -> "sub"
-  | Mul -> "mul"
-  | Div -> "div"
-  | Rem -> "rem"
-  | And -> "and"
-  | Or -> "or"
-  | Xor -> "xor"
-  | Shl -> "shl"
-  | Shr -> "shr"
-
-let fbinop_name = function Fadd -> "fadd" | Fsub -> "fsub" | Fmul -> "fmul" | Fdiv -> "fdiv"
-
-let cond_name = function Eq -> "eq" | Ne -> "ne" | Lt -> "lt" | Le -> "le" | Gt -> "gt" | Ge -> "ge"
-
-let pp_addr fmt a =
-  match a.index with
-  | None -> Format.fprintf fmt "[r%d%+d]" a.base a.disp
-  | Some i -> Format.fprintf fmt "[r%d+r%d*%d%+d]" a.base i a.scale a.disp
-
-let width_name = function W8 -> "8" | W16 -> "16" | W32 -> "32" | W64 -> "64"
-
-let pp_instr fmt = function
-  | Const (r, v) -> Format.fprintf fmt "r%d <- %Ld" r v
-  | Mov (d, s) -> Format.fprintf fmt "r%d <- r%d" d s
-  | Bin (op, d, a, b) -> Format.fprintf fmt "r%d <- %s r%d, r%d" d (binop_name op) a b
-  | Bini (op, d, a, v) -> Format.fprintf fmt "r%d <- %s r%d, %Ld" d (binop_name op) a v
-  | Fbin (op, d, a, b) -> Format.fprintf fmt "r%d <- %s r%d, r%d" d (fbinop_name op) a b
-  | Fconst (r, v) -> Format.fprintf fmt "r%d <- %g" r v
-  | F_of_int (d, s) -> Format.fprintf fmt "r%d <- float(r%d)" d s
-  | Int_of_f (d, s) -> Format.fprintf fmt "r%d <- int(r%d)" d s
-  | Load (w, d, a) -> Format.fprintf fmt "r%d <- load%s %a" d (width_name w) pp_addr a
-  | Store (w, s, a) -> Format.fprintf fmt "store%s r%d, %a" (width_name w) s pp_addr a
-  | Jump l -> Format.fprintf fmt "jump L%d" l
-  | Branch (c, a, b, l) -> Format.fprintf fmt "br.%s r%d, r%d -> L%d" (cond_name c) a b l
-  | Label l -> Format.fprintf fmt "L%d:" l
-  | Syscall (Futex_wait { uaddr; expected }) ->
-      Format.fprintf fmt "futex_wait [r%d] == r%d" uaddr expected
-  | Syscall (Futex_wake { uaddr; nwake }) -> Format.fprintf fmt "futex_wake [r%d] n=%d" uaddr nwake
-  | Migrate_point id -> Format.fprintf fmt "migrate_point %d" id
-  | Halt -> Format.fprintf fmt "halt"
-
 let validate p =
   let fail fmt_str = Printf.ksprintf (fun s -> Error s) fmt_str in
   let check_reg r = r >= 0 && r < p.nregs in

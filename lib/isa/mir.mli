@@ -62,7 +62,6 @@ type instr =
 
 type program = { code : instr array; nregs : int; nlabels : int }
 
-val pp_instr : Format.formatter -> instr -> unit
 val validate : program -> (unit, string) result
 (** Structural checks: register/label ranges, labels defined exactly once,
     positive scales. *)

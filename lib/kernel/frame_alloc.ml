@@ -84,7 +84,6 @@ let total_frames t =
   List.fold_left (fun acc rs -> if rs.live then acc + frames_in rs.region else acc) 0 t.regions
 
 let used_frames t = Hashtbl.length t.allocated_set
-let free_frames t = total_frames t - used_frames t
 
 let pressure t =
   let total = total_frames t in

@@ -25,7 +25,6 @@ val is_allocated : t -> int -> bool
 (** [owns_address t a] is whether [a] lies in a live region of this
     allocator. *)
 val owns_address : t -> int -> bool
-val free_frames : t -> int
 val total_frames : t -> int
 val used_frames : t -> int
 

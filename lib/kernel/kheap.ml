@@ -4,10 +4,9 @@ type t = {
   alloc_frame : unit -> int;
   mutable page : int; (* current bump page paddr, -1 if none *)
   mutable offset : int;
-  mutable used : int;
 }
 
-let create ~alloc_frame = { alloc_frame; page = -1; offset = Addr.page_size; used = 0 }
+let create ~alloc_frame = { alloc_frame; page = -1; offset = Addr.page_size }
 
 let alloc t ~bytes =
   assert (bytes > 0 && bytes <= Addr.page_size);
@@ -19,9 +18,6 @@ let alloc t ~bytes =
   end;
   let off = Addr.align_up t.offset ~alignment in
   t.offset <- off + bytes;
-  t.used <- t.used + bytes;
   t.page + off
 
 let alloc_line t = alloc t ~bytes:Addr.line_size
-
-let bytes_used t = t.used

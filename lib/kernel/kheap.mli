@@ -15,5 +15,3 @@ val alloc : t -> bytes:int -> int
 
 val alloc_line : t -> int
 (** A dedicated cache line (lock words, counters). *)
-
-val bytes_used : t -> int

@@ -3,7 +3,7 @@ module Addr = Stramash_mem.Addr
 module Phys_mem = Stramash_mem.Phys_mem
 module Trace = Stramash_obs.Trace
 
-type t = { isa : Node_id.t; root : int; mutable table_pages : int }
+type t = { isa : Node_id.t; root : int }
 
 type io = {
   phys : Phys_mem.t;
@@ -18,7 +18,7 @@ let entries = 1 lsl index_bits
 
 let create ~isa io =
   let root = io.alloc_table () in
-  { isa; root; table_pages = 1 }
+  { isa; root }
 
 let isa t = t.isa
 let root t = t.root
@@ -57,7 +57,6 @@ let rec descend t io ~level ~table ~vaddr ~alloc =
           ~tags:[ ("level", string_of_int level) ]
           ();
       let fresh = io.alloc_table () in
-      t.table_pages <- t.table_pages + 1;
       let entry = Pte.encode ~isa:t.isa ~frame:(fresh lsr Addr.page_shift) Pte.default_flags in
       write_entry io slot entry;
       descend t io ~level:(level - 1) ~table:fresh ~vaddr ~alloc
@@ -71,17 +70,6 @@ let descend_from_root t io ~vaddr ~alloc =
 let leaf_slot t io ~vaddr =
   let table = descend_from_root t io ~vaddr ~alloc:false in
   if table < 0 then -1 else entry_addr table (index_at ~level:0 vaddr)
-
-let leaf_entry_paddr t io ~vaddr =
-  let slot = leaf_slot t io ~vaddr in
-  if slot < 0 then None else Some slot
-
-let walk_raw t io ~vaddr =
-  let slot = leaf_slot t io ~vaddr in
-  if slot < 0 then None
-  else
-    let raw = read_entry io slot in
-    if Pte.frame_or_absent ~isa:t.isa raw < 0 then None else Some raw
 
 (* Only non-present walks are recorded: hit-path walks run once per
    memory access and would flood the event ring with noise. The misses
@@ -138,8 +126,6 @@ let unmap t io ~vaddr =
   let present = slot >= 0 && Pte.frame_or_absent ~isa:t.isa (read_entry io slot) >= 0 in
   if present then write_entry io slot Pte.not_present;
   present
-
-let table_pages t = t.table_pages
 
 (* Full-tree traversal in ascending vaddr order. Directory entries share
    the leaf encoding, so at levels > 0 a present entry's frame is the next

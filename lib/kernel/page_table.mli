@@ -37,9 +37,6 @@ val translate : t -> io -> vaddr:int -> write:bool -> int
 val leaf_frame : int -> int
 val leaf_writable : int -> bool
 
-val walk_raw : t -> io -> vaddr:int -> int64 option
-(** Leaf PTE raw bits (present entries only). *)
-
 val upper_levels_present : t -> io -> vaddr:int -> bool
 (** True when every directory level above the leaf exists — the condition
     under which Stramash allows a remote kernel to install a PTE directly
@@ -57,13 +54,6 @@ val update_flags : t -> io -> vaddr:int -> Pte.flags -> bool
 val unmap : t -> io -> vaddr:int -> bool
 (** Clear the leaf entry; directory pages are not reclaimed (as in
     Linux's common case). *)
-
-val leaf_entry_paddr : t -> io -> vaddr:int -> int option
-(** Physical address of the leaf PTE slot, if the directories exist —
-    what a remote walker reads/CASes. *)
-
-val table_pages : t -> int
-(** Number of table pages allocated (root included). *)
 
 val iter_leaves : t -> io -> f:(vaddr:int -> frame:int -> flags:Pte.flags -> unit) -> unit
 (** Visit every present leaf mapping in ascending [vaddr] order by

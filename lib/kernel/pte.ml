@@ -82,7 +82,3 @@ let decode ~isa v =
             } )
 
 let not_present = 0L
-
-let frame_of_exn ~isa v =
-  let frame = frame_or_absent ~isa v in
-  if frame < 0 then invalid_arg "Pte.frame_of_exn: entry not present" else frame

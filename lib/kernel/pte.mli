@@ -33,5 +33,3 @@ val is_writable : isa:Stramash_sim.Node_id.t -> int64 -> bool
 
 val not_present : int64
 (** The all-zeroes entry, not present under both encodings. *)
-
-val frame_of_exn : isa:Stramash_sim.Node_id.t -> int64 -> int

@@ -151,18 +151,6 @@ let min_node t n =
   let rec go n = if n.left == t.nil then n else go n.left in
   if n == t.nil then t.nil else go n
 
-let max_node t n =
-  let rec go n = if n.right == t.nil then n else go n.right in
-  if n == t.nil then t.nil else go n
-
-let min_binding t =
-  let n = min_node t t.root in
-  if n == t.nil then None else Some (n.key, n.value)
-
-let max_binding t =
-  let n = max_node t t.root in
-  if n == t.nil then None else Some (n.key, n.value)
-
 let transplant t u v =
   if u.parent == t.nil then t.root <- v
   else if u == u.parent.left then u.parent.left <- v

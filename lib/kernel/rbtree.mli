@@ -21,8 +21,6 @@ val find : ?visit:('v -> unit) -> 'v t -> key:int -> 'v option
 val find_floor : ?visit:('v -> unit) -> 'v t -> key:int -> (int * 'v) option
 (** Greatest binding with key <= the argument. *)
 
-val min_binding : 'v t -> (int * 'v) option
-val max_binding : 'v t -> (int * 'v) option
 val iter : 'v t -> f:(int -> 'v -> unit) -> unit
 (** In key order. *)
 

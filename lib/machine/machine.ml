@@ -170,7 +170,6 @@ let inject_plan t = t.inject_plan
 let cache t = t.env.Env.cache
 let rng t = t.rng
 let threads t = t.all_threads
-let meter_of t node = Env.meter t.env node
 let quantum t = t.quantum
 let placement t = t.placement
 
@@ -189,8 +188,6 @@ let attach_placement t engine =
   t.placement <- Some engine;
   Placement.install_write_hook engine;
   Quantum.add t.quantum (fun ~now -> Placement.tick engine ~now)
-
-let reset_meters t = Array.iter Meter.reset t.env.Env.meters
 
 (* Load-time page installation: no simulated cost (the paper measures
    post-boot, post-exec behaviour). *)

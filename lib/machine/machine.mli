@@ -83,9 +83,6 @@ val spawn_thread :
 (** Start an extra thread at the instruction after migration point
     [at_point], on [node] (its register r0 is set to the new tid). *)
 
-val meter_of : t -> Stramash_sim.Node_id.t -> Stramash_sim.Meter.t
-val reset_meters : t -> unit
-
 val exit_process : t -> Stramash_kernel.Process.t -> unit
 (** Tear the process down and recycle its memory (paper §6.4): each kernel
     instance invalidates its PTEs and frees the frames it allocated. *)

@@ -129,11 +129,6 @@ let message_count = function
   | Popcorn p -> Msg_layer.message_count (Popcorn_os.msg p)
   | Stramash s -> Msg_layer.message_count (Stramash_os.msg s)
 
-let message_counts = function
-  | Vanilla -> []
-  | Popcorn p -> Msg_layer.counts (Popcorn_os.msg p)
-  | Stramash s -> Msg_layer.counts (Stramash_os.msg s)
-
 let replicated_pages = function
   | Vanilla -> 0
   | Popcorn p -> Dsm.replicated_pages (Popcorn_os.dsm p)

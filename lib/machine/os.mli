@@ -59,7 +59,6 @@ val futex_wake :
   int list
 
 val message_count : t -> int
-val message_counts : t -> (string * int) list
 val replicated_pages : t -> int
 (** Popcorn: DSM page copies; Stramash: origin-fallback pages; Vanilla: 0. *)
 

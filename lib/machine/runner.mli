@@ -111,9 +111,9 @@ val data_paddr :
     @raise Stramash_fault_inject.Fault.Error on an unrecoverable fault. *)
 
 val quantum_boundary : Machine.t -> count:int ref -> now:int -> unit
-(** One scheduling-quantum boundary outside [run]'s scheduler loop: in
-    Paranoid mode, run the structural invariant audit on the same stride
-    the scheduler uses, then fire the machine's quantum hooks (placement
+(** One scheduling-quantum boundary, the one [run]'s scheduler takes
+    after every quantum: in Paranoid mode, the structural invariant audit
+    on every 64th boundary, then the machine's quantum hooks (placement
     epoch tick, integrity scrubber) at [now]. The open-loop serving
     subsystem calls this between request admissions so quantum-driven
     machinery runs under request load exactly as it does under [run];

@@ -28,7 +28,4 @@ let align_down a ~alignment =
 let lines_spanned a ~len =
   if len <= 0 then 0 else line_of (a + len - 1) - line_of a + 1
 
-let pages_spanned a ~len =
-  if len <= 0 then 0 else page_of (a + len - 1) - page_of a + 1
-
 let pp_hex fmt a = Format.fprintf fmt "0x%x" a

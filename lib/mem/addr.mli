@@ -30,7 +30,5 @@ val align_down : int -> alignment:int -> int
 val lines_spanned : int -> len:int -> int
 (** Number of distinct cache lines touched by [len] bytes at an address. *)
 
-val pages_spanned : int -> len:int -> int
-
 val pp_hex : Format.formatter -> int -> unit
 (** Hexadecimal rendering, e.g. [0x1_0000_0000]. *)

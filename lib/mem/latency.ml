@@ -20,8 +20,3 @@ let all_cores = [ Cortex_a72; Thunderx2; E5_2620; Xeon_gold ]
 let default_for_node = function
   | Stramash_sim.Node_id.X86 -> of_core Xeon_gold
   | Stramash_sim.Node_id.Arm -> of_core Thunderx2
-
-let l3_exn t =
-  match t.l3 with
-  | Some c -> c
-  | None -> invalid_arg "Latency.l3_exn: core has no L3"

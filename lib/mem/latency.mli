@@ -21,6 +21,3 @@ val all_cores : core list
 
 val default_for_node : Stramash_sim.Node_id.t -> t
 (** Big-pair defaults: x86 = Xeon Gold, Arm = ThunderX2 (§8.1). *)
-
-val l3_exn : t -> int
-(** L3 latency; raises [Invalid_argument] for cores without an L3. *)

@@ -7,7 +7,6 @@ let hw_model_to_string = function
   | Shared -> "Shared"
   | Fully_shared -> "Fully Shared"
 
-let pp_hw_model fmt m = Format.pp_print_string fmt (hw_model_to_string m)
 let all_hw_models = [ Separated; Shared; Fully_shared ]
 
 type region = { lo : Addr.paddr; hi : Addr.paddr }

@@ -20,7 +20,6 @@
 type hw_model = Separated | Shared | Fully_shared
 
 val hw_model_to_string : hw_model -> string
-val pp_hw_model : Format.formatter -> hw_model -> unit
 val all_hw_models : hw_model list
 
 type region = { lo : Addr.paddr; hi : Addr.paddr }
@@ -36,9 +35,6 @@ val private_region : Stramash_sim.Node_id.t -> region
 val message_ring : region
 val pool : region
 (** Allocatable global pool (excludes the message ring carve-out). *)
-
-val pool_half : Stramash_sim.Node_id.t -> region
-(** The half of the 4-8G range that is local to a node under {b Separated}. *)
 
 type locality = Local | Remote
 

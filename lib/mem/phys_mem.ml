@@ -8,12 +8,6 @@ type t = {
   cache_pages : Bytes.t array;
 }
 
-type view = {
-  pv_frames : int array;
-  pv_pages : Bytes.t array;
-  pv_mask : int;
-}
-
 let cache_slots = 512
 let absent = Bytes.create 0
 
@@ -39,12 +33,12 @@ let page_for_slow t frame slot =
   t.cache_pages.(slot) <- page;
   page
 
-let page_for t frame =
+(* [slot] is masked to the cache size, so the unsafe reads are in
+   bounds. *)
+let[@inline] page_for t frame =
   let slot = frame land (cache_slots - 1) in
-  if t.cache_frames.(slot) = frame then t.cache_pages.(slot)
+  if Array.unsafe_get t.cache_frames slot = frame then Array.unsafe_get t.cache_pages slot
   else page_for_slow t frame slot
-
-let view t = { pv_frames = t.cache_frames; pv_pages = t.cache_pages; pv_mask = cache_slots - 1 }
 
 (* Accesses are assumed not to straddle a page boundary; all simulator
    clients issue naturally aligned accesses. The checks live on the
@@ -83,8 +77,10 @@ let write t a ~width v =
    walker's entry reads. *)
 let read_u8 t a = Char.code (Bytes.get (page_for t (Addr.page_of a)) (Addr.page_offset a))
 let write_u8 t a v = Bytes.set (page_for t (Addr.page_of a)) (Addr.page_offset a) (Char.chr (v land 0xFF))
-let read_u64 t a = Bytes.get_int64_le (page_for t (Addr.page_of a)) (Addr.page_offset a)
-let write_u64 t a v = Bytes.set_int64_le (page_for t (Addr.page_of a)) (Addr.page_offset a) v
+let[@inline] read_u64 t a = Bytes.get_int64_le (page_for t (Addr.page_of a)) (Addr.page_offset a)
+
+let[@inline] write_u64 t a v =
+  Bytes.set_int64_le (page_for t (Addr.page_of a)) (Addr.page_offset a) v
 
 let read_f64 t a = Int64.float_of_bits (read_u64 t a)
 let write_f64 t a v = write_u64 t a (Int64.bits_of_float v)

@@ -13,22 +13,7 @@
 
 type t
 
-type view = private {
-  pv_frames : int array; (* -1 = empty slot *)
-  pv_pages : Bytes.t array;
-  pv_mask : int;
-}
-(** Raw window over the direct-mapped page-pointer cache for the
-    runner's fused memio fast path. The arrays alias live storage; a
-    probe ([pv_frames.(frame land pv_mask) = frame]) that hits may read
-    or write the aliased page directly — pages are never removed, so the
-    pointer cannot be stale. A probe that misses must fall back to the
-    ordinary accessors (which materialise the page and fill the slot);
-    the view itself must never be mutated. *)
-
 val create : unit -> t
-
-val view : t -> view
 
 val read : t -> Addr.paddr -> width:int -> int64
 (** [read t a ~width] with [width] in {1,2,4,8} bytes. Unwritten memory
@@ -36,19 +21,15 @@ val read : t -> Addr.paddr -> width:int -> int64
 
 val write : t -> Addr.paddr -> width:int -> int64 -> unit
 
-val page_for : t -> int -> Bytes.t
-(** Backing page for page-number [frame], materialised on first touch;
-    fills the page-pointer-cache slot. The fused fast path calls this
-    when its inline {!view} probe misses; no simulated cost. *)
-
 val read_u8 : t -> Addr.paddr -> int
 val write_u8 : t -> Addr.paddr -> int -> unit
 
 val read_u64 : t -> Addr.paddr -> int64
 val write_u64 : t -> Addr.paddr -> int64 -> unit
 (** Width-specialised fast paths: one direct-mapped page-pointer probe and
-    a bounds-checked [Bytes] access, no width dispatch. Semantically
-    identical to [read]/[write] at the same width. *)
+    a bounds-checked [Bytes] access, no width dispatch, inlined at the
+    call site. Semantically identical to [read]/[write] at the same
+    width. *)
 
 val read_f64 : t -> Addr.paddr -> float
 val write_f64 : t -> Addr.paddr -> float -> unit

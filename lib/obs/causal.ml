@@ -255,27 +255,6 @@ let node_name idx =
   if idx >= 0 && idx < nnodes then Node_id.to_string (Node_id.of_index idx)
   else string_of_int idx
 
-let hop_json h =
-  Json.Obj
-    [
-      ("node", Json.String (node_name h.h_node));
-      ("subsys", Json.String h.h_subsys);
-      ("op", Json.String h.h_op);
-      ("cycles", Json.Int h.h_cycles);
-    ]
-
-let flow_json f =
-  Json.Obj
-    [
-      ("flow", Json.Int f.f_id);
-      ("node", Json.String (node_name f.f_node));
-      ("root", Json.String (f.f_root_subsys ^ "." ^ f.f_root_op));
-      ("start", Json.Int f.f_start);
-      ("cycles", Json.Int f.f_cycles);
-      ("spans", Json.Int f.f_spans);
-      ("path", Json.List (List.map hop_json f.f_path));
-    ]
-
 let blame_json rows =
   Json.List
     (List.map

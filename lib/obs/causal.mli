@@ -56,8 +56,6 @@ val blame : flow list -> blame_row list
 (** Critical-path cycles aggregated per (subsystem, op), sorted by
     descending cycles then name. *)
 
-val hop_json : hop -> Json.t
-val flow_json : flow -> Json.t
 val blame_json : blame_row list -> Json.t
 
 (** Bounded retention of complete traces for tail flows only: every

@@ -11,25 +11,6 @@ let add_counters t name pairs =
 
 let add_registry t name reg = add_counters t name (Metrics.to_assoc reg)
 
-let add_histogram t name h =
-  let buckets =
-    Metrics.Histogram.bucket_counts h |> Array.to_list
-    |> List.map (fun (lower, count) ->
-           Json.Obj [ ("lower", Json.Float lower); ("count", Json.Int count) ])
-  in
-  add_json t name
-    (Json.Obj
-       [
-         ("count", Json.Int (Metrics.Histogram.count h));
-         ("mean", Json.Float (Metrics.Histogram.mean h));
-         ("min", Json.Float (Metrics.Histogram.min_value h));
-         ("max", Json.Float (Metrics.Histogram.max_value h));
-         ("p50", Json.Float (Metrics.Histogram.p50 h));
-         ("p95", Json.Float (Metrics.Histogram.p95 h));
-         ("p99", Json.Float (Metrics.Histogram.p99 h));
-         ("buckets", Json.List buckets);
-       ])
-
 let add_trace t tracer = add_json t "trace" (Trace.attribution_json tracer)
 
 let add_causal t tracer =

@@ -13,9 +13,6 @@ val add_json : t -> string -> Json.t -> unit
 val add_counters : t -> string -> (string * int) list -> unit
 val add_registry : t -> string -> Metrics.registry -> unit
 
-val add_histogram : t -> string -> Metrics.Histogram.t -> unit
-(** Serialises count/mean/min/max/p50/p95/p99 plus per-bucket counts. *)
-
 val add_trace : t -> Trace.t -> unit
 (** Adds the tracer's attribution table as a ["trace"] section. *)
 
@@ -28,7 +25,6 @@ val add_causal : t -> Trace.t -> unit
 val sections : t -> (string * Json.t) list
 (** In insertion order. *)
 
-val to_json : t -> Json.t
 val to_string : t -> string
 
 val of_json : Json.t -> (t, string) result

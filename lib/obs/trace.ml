@@ -13,7 +13,7 @@ type span = {
   sp_depth : int;
   sp_flow : int; (* causal flow id; 0 = not part of any flow *)
   mutable sp_children : int; (* cycles already attributed to sub-spans *)
-  mutable sp_tags : (string * string) list;
+  sp_tags : (string * string) list;
   sp_live : bool;
 }
 
@@ -102,7 +102,6 @@ let current : t option ref = ref None
 
 let install t = current := Some t
 let uninstall () = current := None
-let current_tracer () = !current
 let enabled () = !current != None
 
 let set_clock f = match !current with Some t -> t.clock <- Some f | None -> ()
@@ -182,11 +181,6 @@ let with_flow ~node ~flow f =
           pop ();
           raise e)
 
-let current_flow () =
-  match !current with
-  | None -> 0
-  | Some t -> ( match t.ctx with s :: _ -> s.sp_flow | [] -> 0)
-
 let span ?at ?(tags = []) ?(flow_root = false) ~node ~subsys ~op () =
   match !current with
   | None -> null
@@ -216,8 +210,6 @@ let span ?at ?(tags = []) ?(flow_root = false) ~node ~subsys ~op () =
       end
 
 let flow_of sp = if sp.sp_live then sp.sp_flow else 0
-
-let add_tag sp key value = if sp.sp_live then sp.sp_tags <- sp.sp_tags @ [ (key, value) ]
 
 let close ?at ?(tags = []) sp =
   if sp.sp_live then
@@ -286,16 +278,6 @@ let instant ?at ?node ?flow ?(tags = []) ~subsys ~op () =
             ev_tags = tags;
           }
       end
-
-let with_span ?at ?tags ?flow_root ~node ~subsys ~op f =
-  let sp = span ?at ?tags ?flow_root ~node ~subsys ~op () in
-  match f () with
-  | result ->
-      close sp;
-      result
-  | exception e ->
-      close sp;
-      raise e
 
 (* ---------- blocked-on-remote accounting ---------- *)
 
@@ -373,15 +355,6 @@ let attribution t =
 let subsystems t =
   Hashtbl.fold (fun (subsys, _) _ acc -> subsys :: acc) t.agg []
   |> List.sort_uniq String.compare
-
-(* One subsystem's operation counts, sorted by op name — the shape the
-   placement engine folds into metrics snapshots without dragging the
-   full attribution row type along. *)
-let op_counts t ~subsys =
-  Hashtbl.fold
-    (fun (s, op) c acc -> if String.equal s subsys then (op, c.c_count) :: acc else acc)
-    t.agg []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* ---------- sinks ---------- *)
 

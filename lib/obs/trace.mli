@@ -33,7 +33,7 @@ type t
 
 type span
 (** An open span handle. The handle returned while tracing is disabled (or
-    filtered out) is inert: [close]/[add_tag] on it do nothing. *)
+    filtered out) is inert: [close] on it does nothing. *)
 
 val null : span
 (** The shared inert handle. Call sites that open a span conditionally use
@@ -60,7 +60,6 @@ val create : ?capacity:int -> ?filter:string list -> unit -> t
 
 val install : t -> unit
 val uninstall : unit -> unit
-val current_tracer : unit -> t option
 
 val enabled : unit -> bool
 (** The single guard instrumented call sites use before building tag
@@ -91,8 +90,6 @@ val close : ?at:int -> ?tags:(string * string) list -> span -> unit
 (** Close a span at cycle [at] (same default as {!span}); records the event
     and folds it into the attribution table. Extra [tags] are appended. *)
 
-val add_tag : span -> string -> string -> unit
-
 val flow_of : span -> int
 (** The flow id carried by an open span (0 for the inert handle). Used by
     cross-node layers to hand the requester's flow to {!with_flow}. *)
@@ -112,18 +109,6 @@ val instant :
     inside the span they perturbed. When [flow] is omitted it inherits
     from the node's {!with_flow} override or innermost open span. *)
 
-val with_span :
-  ?at:int ->
-  ?tags:(string * string) list ->
-  ?flow_root:bool ->
-  node:Node_id.t ->
-  subsys:string ->
-  op:string ->
-  (unit -> 'a) ->
-  'a
-(** [with_span ~node ~subsys ~op f] wraps [f] in a span, closing it on
-    normal return and on exception. *)
-
 (** {1 Causal flows} *)
 
 val fresh_flow : node:Node_id.t -> int
@@ -136,9 +121,6 @@ val with_flow : node:Node_id.t -> flow:int -> (unit -> 'a) -> 'a
     override for [node]: spans and instants recorded on that node inside
     [f] carry [flow] instead of minting or inheriting their own. A [flow]
     of 0 (or no tracer) makes this a plain call. *)
-
-val current_flow : unit -> int
-(** Flow id of the innermost open span on any node, else 0. *)
 
 val add_blocked : node:Node_id.t -> subsys:string -> int -> unit
 (** Account [cycles] of [node] being serialized behind a remote reply, on
@@ -191,17 +173,7 @@ val attribution : t -> row list
 val subsystems : t -> string list
 (** Distinct subsystems observed, sorted. *)
 
-val op_counts : t -> subsys:string -> (string * int) list
-(** Event counts for one subsystem's operations, sorted by op name —
-    spans and point events alike. *)
-
 (** {1 Sinks} *)
-
-val chrome_json : t -> Json.t
-(** Chrome trace-event format (load in Perfetto or chrome://tracing):
-    spans as "X" complete events, point events as "i" instants, one thread
-    per node, [ts]/[dur] in simulated cycles. Nonzero flow ids ride in
-    [args.flow]. *)
 
 val chrome_string : t -> string
 

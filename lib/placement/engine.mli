@@ -52,12 +52,6 @@ val tick : t -> now:int -> unit
     alive), run the policy over the hotness table, execute up to
     [max_actions] verdicts, then decay the aggregates. *)
 
-val on_write_fault :
-  t -> proc:Stramash_kernel.Process.t -> node:Stramash_sim.Node_id.t -> vaddr:int -> bool
-(** The write hook body: collapse the replica covering [vaddr], if any.
-    True when a collapse happened (the faulting access then retries
-    against the restored leaf). *)
-
 val reconcile : t -> node:Stramash_sim.Node_id.t -> unit
 (** Restore [node]'s half of any replica collapsed in degraded mode while
     it was down; the runner calls this during restart, after the
@@ -68,7 +62,6 @@ val drain : t -> proc:Stramash_kernel.Process.t -> unit
     pre-placement mappings; called by [Machine.exit_process]. *)
 
 val live_replicas : t -> int
-val tlb_shootdowns : t -> int
 
 val counters : t -> (string * int) list
 (** The [placement.*] counter snapshot folded into metrics exports. *)

@@ -26,7 +26,6 @@ type t = {
      one of them triggers the consistency policy (paper §9.2.2). *)
   tracked_frames : (int, unit) Hashtbl.t;
   mutable replicated : int;
-  mutable wb_updates : int;
 }
 
 (* Batched/piggybacked line update: ring-enqueue work without an IPI. *)
@@ -40,13 +39,11 @@ let create env msg =
       pages = Hashtbl.create 4096;
       tracked_frames = Hashtbl.create 4096;
       replicated = 0;
-      wb_updates = 0;
     }
   in
   let hook node ~line =
     let frame_number = line lsr (Addr.page_shift - Addr.line_shift) in
     if Hashtbl.mem t.tracked_frames frame_number then begin
-      t.wb_updates <- t.wb_updates + 1;
       Stramash_sim.Meter.add (Env.meter t.env node) wb_update_cost;
       Msg_layer.record_async t.msg ~label:"dsm_wb_update";
       Trace.instant ~node ~subsys:"dsm" ~op:"wb_update" ()
@@ -57,11 +54,8 @@ let create env msg =
 let msg_layer t = t.msg
 let replicated_pages t = t.replicated
 
-let wb_updates t = t.wb_updates
-
 let reset_counters t =
   t.replicated <- 0;
-  t.wb_updates <- 0;
   Msg_layer.reset_counts t.msg
 
 let page t ~pid ~vpage =

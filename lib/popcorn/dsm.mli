@@ -28,10 +28,6 @@ val ensure_mm : t -> proc:Stramash_kernel.Process.t -> node:Stramash_sim.Node_id
 
 val replicated_pages : t -> int
 
-val wb_updates : t -> int
-(** Write-backs of dirty lines in replicated pages that triggered the
-    consistency policy (paper §9.2.2). *)
-
 val reset_counters : t -> unit
 
 val seed_owner :

@@ -84,14 +84,6 @@ val notify :
     @raise Stramash_fault_inject.Fault.Error
       with [Node_dead] if the peer has crash-stopped. *)
 
-val notify_checked :
-  t ->
-  src:Stramash_sim.Node_id.t ->
-  label:string ->
-  bytes:int ->
-  handler:(unit -> unit) ->
-  (unit, Stramash_fault_inject.Fault.error) result
-
 val record_async : t -> label:string -> unit
 (** Count a message that is modelled by a fixed cost elsewhere (e.g. the
     batched DSM write-back updates); no transfer is simulated here. *)

@@ -60,10 +60,5 @@ val futex_wake :
 (** Returns the tids woken. Wakes of threads blocked on another kernel
     instance cost an extra one-way message from the origin. *)
 
-val user_frame :
-  t -> proc:Stramash_kernel.Process.t -> node:Stramash_sim.Node_id.t -> vaddr:int -> int
-(** Resolve (faulting in if needed) the frame backing [vaddr] for reads at
-    [node]; used by the futex word check. *)
-
 val exit_process : t -> proc:Stramash_kernel.Process.t -> unit
 (** Tear down a process's DSM state and free every kernel's replicas. *)

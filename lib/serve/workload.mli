@@ -37,9 +37,6 @@ val mset_keys : int
 val scan_len : int
 (** Consecutive slots read by one [Scan] (16). *)
 
-val keyspace_base : int
-(** Virtual base of the keyspace segment ([Spec.heap_base]). *)
-
 val vaddr_of_key : int -> int
 
 val store_spec : keys:int -> Stramash_machine.Spec.t

@@ -15,7 +15,6 @@ val of_ns : float -> t
 (** Nanoseconds to cycles, rounded to nearest. *)
 
 val of_us : float -> t
-val to_ns : t -> float
 val to_us : t -> float
 val to_ms : t -> float
 

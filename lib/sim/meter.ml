@@ -1,7 +1,7 @@
 type t = { mutable cycles : int }
 
 let create () = { cycles = 0 }
-let add t d = t.cycles <- t.cycles + d
+let[@inline] add t d = t.cycles <- t.cycles + d
 let get t = t.cycles
 let set t v = t.cycles <- v
 let reset t = t.cycles <- 0

@@ -4,14 +4,13 @@
     instruction plus every memory-system stall the cache simulator reports
     — the icount-with-feedback timing model of paper §7.3. *)
 
-type t = { mutable cycles : int }
-(** Concrete (not abstract) so the runner's fused memio fast path can
-    accumulate the per-instruction base cycle without a cross-module
-    call. Any mutation outside this module must be exactly [add]'s
-    effect; everything else goes through the functions below. *)
+type t
 
 val create : unit -> t
 val add : t -> int -> unit
+(** Inlined at the call site: the runner charges every instruction's
+    base cycle through it. *)
+
 val get : t -> int
 val set : t -> int -> unit
 val reset : t -> unit

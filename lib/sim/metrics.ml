@@ -95,9 +95,6 @@ module Histogram = struct
   let p95 t = percentile t 0.95
   let p99 t = percentile t 0.99
 
-  let bucket_counts t =
-    Array.mapi (fun i c -> (t.lo +. (t.width *. float_of_int i), c)) t.counts
-
   let merge a b =
     if Array.length a.counts <> Array.length b.counts || a.lo <> b.lo || a.hi <> b.hi
     then invalid_arg "Histogram.merge: shape mismatch";

@@ -45,9 +45,6 @@ module Histogram : sig
   val p95 : t -> float
   val p99 : t -> float
 
-  val bucket_counts : t -> (float * int) array
-  (** [(lower_bound, count)] per bucket, plus overflow in the last one. *)
-
   val merge : t -> t -> t
   (** Combine two histograms with identical shape (bucket count, [lo],
       [hi]) into a fresh one — e.g. per-node latency distributions into a

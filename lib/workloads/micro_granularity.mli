@@ -8,7 +8,6 @@
 
 type params = { pages : int; lines : int }
 
-val default_pages : int
 val measure_start : int
 val measure_stop : int
 val spec : ?pages:int -> lines:int -> unit -> Stramash_machine.Spec.t

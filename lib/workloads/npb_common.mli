@@ -14,10 +14,6 @@ val round_trip_targets : rounds:int -> (int * Stramash_sim.Node_id.t) list
 val with_round : Stramash_isa.Builder.t -> round:int -> (unit -> unit) -> unit
 (** Emit [Migrate_point (2*round)]; body; [Migrate_point (2*round+1)]. *)
 
-val checksum_base : int
-(** Virtual address of the one-page result segment every kernel writes its
-    final checksum to (used by tests for cross-OS result equality). *)
-
 val checksum_segment : Stramash_machine.Spec.segment
 val checksum_vaddr : int
 

@@ -14,9 +14,6 @@ val all_names : string list
 val fig9_names : string list
 (** The paper's plotted quartet ([is cg mg ft]) — also the campaign set. *)
 
-val perf_names : string list
-(** The perf-bench set: the quartet plus compute-bound [ep]. *)
-
 val fig9_set : small:bool -> (string * Stramash_machine.Spec.t) list
 (** The quartet with full-size or reduced (unit-test) parameters. *)
 

@@ -37,9 +37,6 @@ type op = Get | Set | Lpush | Rpush | Lpop | Rpop | Sadd | Mset
 val all_ops : op list
 val op_name : op -> string
 
-val parse_cycles : int
-(** Fixed command-parse cost charged to the server per request. *)
-
 type result = { op : op; cycles_per_request : float }
 
 val run :
